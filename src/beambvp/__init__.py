@@ -14,6 +14,7 @@ the implementation.
 
 from .analysis import (
     Certificate,
+    ConeConstants,
     GrowthEstimate,
     Problem,
     ValidationReport,
@@ -30,18 +31,14 @@ from .errors import (
     HypothesisViolation,
     InvalidConfig,
     InvalidRange,
-    NegativeWeight,
     OutOfDomain,
     ParseError,
     SingularJacobian,
     SingularSystem,
 )
-from .expressions import Expression, evaluate, parse
+from .expressions import Expression, parse
 from .kernel import (
-    ConeConstants,
-    cone_constants,
     green,
-    kernel_eval,
     kernel_weight,
     lower_envelope,
     rho,
@@ -59,7 +56,6 @@ from .quadrature import (
 from .solver import (
     DiscreteFunction,
     NystromOperator,
-    ResidualReport,
     SolveReport,
     apply,
     build_operator,
@@ -76,15 +72,14 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamBVPError", "Certificate", "ConeConstants", "DiscreteFunction",
     "DomainError", "Expression", "GrowthEstimate", "HypothesisViolation",
-    "InvalidConfig", "InvalidRange", "NegativeWeight", "NystromOperator",
-    "OutOfDomain", "ParseError", "Problem", "Quadrature", "ResidualReport",
-    "RunConfig", "SingularJacobian", "SingularSystem", "SolveReport",
-    "ValidationReport", "apply", "build_operator", "certificate",
-    "cone_constants", "default_quadrature", "estimate_f0", "estimate_finf", "evaluate",
-    "fd_solve_linear", "fd_solve_nonlinear", "formula_solve_linear", "green",
-    "integrate", "integrate_on", "interpolate", "kernel_eval",
-    "kernel_weight", "lower_envelope", "make_problem", "make_quadrature",
-    "newton", "parse", "picard", "residuals", "rho", "run_checks",
-    "solve_auto", "strip_lower_bound", "upper_envelope",
+    "InvalidConfig", "InvalidRange", "NystromOperator", "OutOfDomain",
+    "ParseError", "Problem", "Quadrature", "RunConfig", "SingularJacobian",
+    "SingularSystem", "SolveReport", "ValidationReport", "apply",
+    "build_operator", "certificate", "default_quadrature", "estimate_f0",
+    "estimate_finf", "fd_solve_linear", "fd_solve_nonlinear",
+    "formula_solve_linear", "green", "integrate", "integrate_on",
+    "interpolate", "kernel_weight", "lower_envelope", "make_problem",
+    "make_quadrature", "newton", "parse", "picard", "residuals", "rho",
+    "run_checks", "solve_auto", "strip_lower_bound", "upper_envelope",
     "validate_hypotheses",
 ]

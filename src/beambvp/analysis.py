@@ -17,12 +17,30 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig
 from .expressions import Expression, parse
-from .kernel import ALPHA_MARGIN, ConeConstants
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 
 DIVERGENCE_CUTOFF = 1e6
 STABLE_SPREAD = 1e-3
 NEAR_ZERO = 1e-3
+# 1 - alpha divides the kernel weight, and quadrature rounding can land an
+# inadmissible weight a hair inside the open window (0, 1)
+ALPHA_MARGIN = 1e-12
+
+
+@dataclass(frozen=True)
+class ConeConstants:
+    """Moments of the boundary weight a and the derived cone ratio.
+
+    alpha = integral_0^1 a, beta = integral over the inner strip
+    [theta, 1-theta], gamma = theta^3 (1 - alpha + beta): every
+    nonnegative forcing produces a solution whose minimum on the strip
+    dominates gamma times its sup norm.
+    """
+
+    theta: float
+    alpha: float
+    beta: float
+    gamma: float
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ from .analysis import certificate, make_problem, validate_hypotheses
 from .config import RunConfig
 from .errors import BeamBVPError, InvalidConfig
 from .expressions import parse
-from .kernel import green, kernel_weight, rho
+from .kernel import green, kernel_weight, lower_envelope, upper_envelope
 from .quadrature import integrate, make_quadrature
-from .solver import apply, build_operator, solve_auto
+from .solver import apply, solve_auto
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -120,8 +120,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         return EXIT_HYPOTHESIS
 
     report = solve_auto(problem, method=cfg.method, starts=cfg.starts,
-                        omega=cfg.omega, tol=cfg.tol, max_iter=cfg.max_iter,
-                        resample_m=cfg.oracle_n)
+                        omega=cfg.omega, tol=cfg.tol, max_iter=cfg.max_iter)
     payload = _base_payload(cfg, problem)
     payload.update({
         "hypotheses_ok": True,
@@ -131,16 +130,14 @@ def cmd_solve(cfg: RunConfig) -> int:
         "diverged": report.diverged,
         "iterations": report.iterations,
         "fp_residual": report.fp_residual,
-        "ode_residual": report.ode_residual,
-        "bc_residuals": list(report.bc_residuals),
+        "error_estimate": report.error_estimate,
         "in_cone": report.in_cone,
         "sup_norm": report.solution.sup_norm(),
     })
     if cfg.write_json:
         _write_json(out / "report.json", payload)
     if cfg.write_csv:
-        op = build_operator(problem)
-        au = apply(op, report.solution)
+        au = apply(report.operator, report.solution)
         rows = np.column_stack([
             report.solution.nodes, report.solution.values, au.values,
             np.abs(report.solution.values - au.values),
@@ -190,6 +187,8 @@ def cmd_verify(cfg: RunConfig, green_offset: float, grid_m: int) -> int:
 
 
 def cmd_green(cfg: RunConfig, grid_m: int) -> int:
+    if grid_m < 2:
+        raise InvalidConfig(f"--grid-m must be at least 2, got {grid_m}")
     ts = np.linspace(0.0, 1.0, grid_m)
     ss = np.linspace(0.0, 1.0, grid_m)
     quad = make_quadrature(cfg.rule, cfg.panels, cfg.points)
@@ -204,8 +203,8 @@ def cmd_green(cfg: RunConfig, grid_m: int) -> int:
     scol = np.tile(ss, grid_m)
     rows = np.column_stack([
         tcol, scol, gmat.ravel(), (gmat + weights[None, :]).ravel(),
-        (rho(ts)[:, None] * (ss * (1 - ss) ** 2)[None, :]).ravel(),
-        np.tile(ss * (1 - ss) ** 2 / 6.0, grid_m),
+        lower_envelope(ts[:, None], ss[None, :]).ravel(),
+        np.tile(upper_envelope(ss), grid_m),
     ])
     _write_csv(_outdir(cfg) / "green.csv",
                "t,s,G,kernel,lower_envelope,upper_envelope", rows)

@@ -8,6 +8,7 @@ to_file is read back verbatim by from_file.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .quadrature import GAUSS_LEGENDRE
 _SECTIONS = {
     "problem": ("f_text", "a_text", "theta"),
     "quadrature": ("rule", "panels", "points"),
-    "solver": ("method", "omega", "tol", "max_iter", "starts", "oracle_n"),
+    "solver": ("method", "omega", "tol", "max_iter", "starts"),
     "output": ("out_dir", "write_json", "write_csv", "seed"),
 }
 
@@ -35,7 +36,6 @@ class RunConfig:
     tol: float = 1e-10
     max_iter: int = 500
     starts: tuple = (0.1, 1.0, 10.0, 100.0)
-    oracle_n: int = 401
     out_dir: str = "."
     write_json: bool = True
     write_csv: bool = True
@@ -44,18 +44,18 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if not 0.0 < self.theta < 0.5:
             raise InvalidConfig(f"theta must lie in (0, 1/2), got {self.theta}")
-        if self.tol <= 0.0:
-            raise InvalidConfig("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InvalidConfig("tol must be positive and finite")
         if not 0.0 < self.omega <= 1.0:
             raise InvalidConfig("omega must lie in (0, 1]")
         if self.max_iter < 1 or self.panels < 1 or self.points < 1:
             raise InvalidConfig("max_iter, panels and points must be positive")
         if self.method not in ("auto", "picard", "newton"):
             raise InvalidConfig(f"unknown solver method {self.method!r}")
-        if self.oracle_n < 21:
-            raise InvalidConfig("oracle_n must be at least 21")
         if not self.starts:
             raise InvalidConfig("at least one start value is required")
+        if not all(math.isfinite(c) for c in self.starts):
+            raise InvalidConfig("start values must be finite")
         return self
 
     def to_file(self, path) -> None:
@@ -110,7 +110,7 @@ def _parse(name, raw):
         return raw
     if name in ("theta", "omega", "tol"):
         return float(raw)
-    if name in ("panels", "points", "max_iter", "oracle_n", "seed"):
+    if name in ("panels", "points", "max_iter", "seed"):
         return int(raw)
     if name == "starts":
         return tuple(float(part) for part in raw.split(",") if part.strip())

@@ -35,10 +35,6 @@ class HypothesisViolation(BeamBVPError):
     """The weight function fails 0 < integral a < 1."""
 
 
-class NegativeWeight(BeamBVPError):
-    """The weight function is negative at a quadrature node."""
-
-
 class SingularJacobian(BeamBVPError):
     """The Newton linear solve failed."""
 

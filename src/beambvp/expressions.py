@@ -221,12 +221,6 @@ def parse(text: str, var_name: str = "u") -> Expression:
     return Expression(_Parser(tokens, var_name).parse(), var_name)
 
 
-def evaluate(expression: Expression, x) -> float:
-    """Value of the expression at x. Raises DomainError on non-finite
-    intermediates."""
-    return expression(x)
-
-
 def _check_finite(value, what):
     if not np.all(np.isfinite(value)):
         raise DomainError(f"{what!r} produced a non-finite value")

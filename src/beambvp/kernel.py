@@ -7,21 +7,17 @@ u(0) = integral_0^1 a(s) u(s) ds, the solution is
 
 with the triangular Green's function G and the t-independent nonlocal
 weight W(s) = (1/(1-alpha)) integral_0^1 a(tau) G(tau, s) dtau,
-alpha = integral_0^1 a. This module evaluates G, its envelopes, the
-weight, and the cone constants that control positivity.
+alpha = integral_0^1 a. This module evaluates G, its envelopes and the
+weight.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import HypothesisViolation, InvalidConfig, NegativeWeight, OutOfDomain
+from .errors import HypothesisViolation, OutOfDomain
 from .expressions import Expression
-from .quadrature import Quadrature, integrate, integrate_on
-
-ALPHA_MARGIN = 1e-12
+from .quadrature import Quadrature
 
 
 def green(t, s):
@@ -68,46 +64,6 @@ def strip_lower_bound(theta, s):
     return v if v.ndim else float(v)
 
 
-@dataclass(frozen=True)
-class ConeConstants:
-    """Moments of the boundary weight a and the derived cone ratio.
-
-    alpha = integral_0^1 a, beta = integral over the inner strip
-    [theta, 1-theta], gamma = theta^3 (1 - alpha + beta): every
-    nonnegative forcing produces a solution whose minimum on the strip
-    dominates gamma times its sup norm.
-    """
-
-    theta: float
-    alpha: float
-    beta: float
-    gamma: float
-
-
-def cone_constants(a: Expression, theta: float, q: Quadrature) -> ConeConstants:
-    """Compute (alpha, beta, gamma) for the weight a at a given strip.
-
-    Raises NegativeWeight if a is negative at any node and
-    HypothesisViolation unless 0 < alpha < 1.
-    """
-    if not 0.0 < theta < 0.5:
-        raise InvalidConfig(f"theta must lie in (0, 1/2), got {theta}")
-    values = np.asarray(a(q.nodes))
-    if np.any(values < 0.0):
-        where = float(q.nodes[int(np.argmin(values))])
-        raise NegativeWeight(f"a(t) < 0 at t = {where}")
-    alpha = integrate(a, q)
-    # margin of 1e-12: 1 - alpha divides the kernel weight, and quadrature
-    # rounding can land an inadmissible weight a hair inside the open window
-    if not ALPHA_MARGIN < alpha < 1.0 - ALPHA_MARGIN:
-        raise HypothesisViolation(
-            f"integral of a over [0,1] is {alpha}; the problem requires 0 < alpha < 1"
-        )
-    beta = integrate_on(a, theta, 1.0 - theta, q)
-    gamma = theta**3 * (1.0 - alpha + beta)
-    return ConeConstants(theta, alpha, beta, gamma)
-
-
 def kernel_weight(s, a: Expression, alpha: float, q: Quadrature):
     """Nonlocal weight W(s) = (1/(1-alpha)) integral a(tau) G(tau, s) dtau.
 
@@ -116,13 +72,7 @@ def kernel_weight(s, a: Expression, alpha: float, q: Quadrature):
     """
     if alpha != 0.0 and not 0.0 < alpha < 1.0:
         raise HypothesisViolation(f"alpha = {alpha} outside [0, 1)")
-    s_arr = np.atleast_1d(np.asarray(s))
-    tau = q.nodes.astype(s_arr.dtype, copy=False)
-    coeff = np.asarray(a(tau)) * q.weights.astype(s_arr.dtype, copy=False)
-    w = coeff @ green(tau[:, None], s_arr[None, :]) / (1.0 - alpha)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    coeff = np.asarray(a(q.nodes)) * q.weights
+    w = coeff @ green(q.nodes[:, None], s_arr[None, :]) / (1.0 - alpha)
     return w if np.ndim(s) else float(w[0])
-
-
-def kernel_eval(t, s, a: Expression, alpha: float, q: Quadrature):
-    """Full kernel G(t, s) + W(s); s may be a scalar or 1-d array."""
-    return green(t, s) + kernel_weight(s, a, alpha, q)

@@ -25,7 +25,7 @@ from scipy.linalg import solve_banded
 from .errors import InvalidConfig, SingularSystem
 from .expressions import Expression
 from .kernel import green
-from .quadrature import Quadrature, integrate, integrate_on
+from .quadrature import Quadrature, _sample, integrate, integrate_on
 from .solver import DiscreteFunction, _fd_derivative
 
 
@@ -48,12 +48,12 @@ def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> Discret
 
     # t-independent nonlocal contribution: integral W(s) y(s) ds
     wvals = np.array([weight_at(s) for s in q.nodes])
-    yvals = np.asarray(_call(y, q.nodes))
+    yvals = _sample(y, q.nodes)
     nonlocal_term = float(np.dot(q.weights, wvals * yvals))
 
     out = np.empty_like(ts)
     for i, t in enumerate(ts):
-        gy = lambda s: green(t, s) * np.asarray(_call(y, s))
+        gy = lambda s: green(t, s) * _sample(y, s)
         out[i] = integrate_on(gy, 0.0, t, q) + integrate_on(gy, t, 1.0, q) + nonlocal_term
     return DiscreteFunction(ts, out)
 
@@ -147,7 +147,7 @@ def solve_fd_system(system: FDSystem) -> np.ndarray:
 def fd_solve_linear(y, a: Expression, n: int) -> DiscreteFunction:
     """Direct finite-difference solution of the linear problem."""
     grid = np.linspace(0.0, 1.0, n)
-    system = build_fd_system(np.asarray(_call(y, grid)), np.asarray(_call(a, grid)), n)
+    system = build_fd_system(_sample(y, grid), _sample(a, grid), n)
     return DiscreteFunction(grid, solve_fd_system(system))
 
 
@@ -165,7 +165,7 @@ def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
     reported on the returned solution, not raised.
     """
     grid = np.linspace(0.0, 1.0, n)
-    avals = np.asarray(_call(a, grid))
+    avals = _sample(a, grid)
     if u0 is None:
         u = np.zeros(n)
     else:
@@ -204,16 +204,3 @@ def _fd_residual(u, f, avals, n):
     trapz[0] = trapz[-1] = h / 2
     r[n - 1] = ul[0] - np.dot(trapz * avals.astype(ld), ul)
     return r.astype(float)
-
-
-def _call(g, points):
-    """Evaluate an Expression or plain callable on an array."""
-    try:
-        values = np.asarray(g(points), dtype=float)
-    except TypeError:
-        values = np.array([float(g(p)) for p in np.atleast_1d(points)])
-    if values.shape != np.shape(points):
-        values = np.array([float(g(p)) for p in np.atleast_1d(points)])
-        if np.ndim(points) == 0:
-            return values[0]
-    return values

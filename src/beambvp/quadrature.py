@@ -39,6 +39,13 @@ class Quadrature:
     def npoints(self) -> int:
         return len(self.nodes)
 
+    @property
+    def points_per_panel(self) -> int:
+        # Simpson panels share their end nodes
+        if self.rule == SIMPSON:
+            return (self.npoints - 1) // self.panels + 1
+        return self.npoints // self.panels
+
 
 def make_quadrature(rule: str = GAUSS_LEGENDRE, panels: int = 8,
                     points_per_panel: int = 4) -> Quadrature:
@@ -101,14 +108,12 @@ def _sample(g, points):
         values = np.array([float(g(p)) for p in points])
     if values.shape != points.shape:
         values = np.array([float(g(p)) for p in points])
-    if not np.all(np.isfinite(values)):
-        raise DomainError("integrand is not finite at a quadrature node")
     return values
 
 
 def integrate(g, q: Quadrature) -> float:
     """Weighted sum of g over the rule's nodes."""
-    return float(np.dot(q.weights, _sample(g, q.nodes)))
+    return integrate_on(g, 0.0, 1.0, q)
 
 
 def integrate_on(g, lo: float, hi: float, q: Quadrature) -> float:
@@ -120,5 +125,7 @@ def integrate_on(g, lo: float, hi: float, q: Quadrature) -> float:
     width = hi - lo
     if width == 0.0:
         return 0.0
-    points = lo + width * q.nodes
-    return width * float(np.dot(q.weights, _sample(g, points)))
+    values = _sample(g, lo + width * q.nodes)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("integrand is not finite at a quadrature node")
+    return width * float(np.dot(q.weights, values))

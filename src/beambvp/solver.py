@@ -7,20 +7,13 @@ collocating at its nodes (Nystrom). Positive fixed points of the
 resulting finite map are located by damped Picard iteration and by a
 damped Newton method, with multi-start orchestration in solve_auto.
 
-Residual diagnostics deserve a note. The natural interpolant
-u(t) = sum_j K(t, s_j) w_j f(u_j) is piecewise cubic in t with kinks at
-the quadrature nodes, so a fourth difference of its pointwise samples is
-identically zero between kinks and tells us nothing about u''''. The
-diagnostics therefore rebuild the solution through the antiderivative
-form
-
-    u(t) = u(0) + C1 t^3/6 - (1/6) integral_0^t (t-s)^3 g(s) ds,
-    g = f(interpolant),  C1 = integral_0^1 (1-s)^2 g(s) ds,
-
-with the integral evaluated on a fixed fine partition (panel moments are
-polynomial in t, so their quadrature error is invisible to a fourth
-difference). The stencil arithmetic runs in extended precision because
-dividing by h^4 amplifies rounding by ~1e10 at the default grid.
+Each solve ends with one a-posteriori error estimate of the returned
+solution (Atkinson, The Numerical Solution of Integral Equations of the
+Second Kind, 1997, sec. 4.2). The natural interpolant
+u_I(t) = sum_j [G(t, s_j) + W(s_j)] w_j f(u_j) is fed to the operator
+discretized by the same rule with twice the panels, A'; the defect
+max |A'[u_I] - u_I| at the refined nodes estimates the distance to the
+true solution in solution units.
 """
 
 from __future__ import annotations
@@ -33,13 +26,11 @@ import numpy as np
 from .analysis import Problem
 from .errors import DomainError, InvalidConfig, SingularJacobian
 from .kernel import green, kernel_weight
-from .quadrature import Quadrature, integrate
+from .quadrature import Quadrature, integrate, make_quadrature
 
 OVERFLOW_GUARD = 1e12
 POSITIVITY_TOL = 1e-6
 CONE_SLACK = 1e-10
-
-_LD = np.longdouble
 
 
 @dataclass
@@ -75,34 +66,21 @@ class NystromOperator:
 
 
 @dataclass
-class ResidualReport:
-    """Strong-form diagnostics of a grid function.
-
-    ode_residual is the maximum interior defect |d4u/h^4 + f(u)| of the
-    reconstructed solution, divided by max(1, sup|f(u)|) so that problems
-    with large forcing are judged on the same scale as small ones.
-    bc_residuals holds |u'(0)|, |u'(1)|, |u''(0)| of the interpolant and
-    the nonlocal mismatch |u(0) - integral a u|.
-    """
-
-    ode_residual: float
-    bc_residuals: tuple
-    forcing_scale: float
-    m: int
-
-
-@dataclass
 class SolveReport:
+    """One solver attempt. operator is the discrete operator the solution
+    is a fixed point of. error_estimate is nan until solve_auto estimates
+    the report it returns (see residuals); inf if that estimate fails."""
+
     solution: DiscreteFunction
+    operator: NystromOperator
     converged: bool
     iterations: int
     fp_residual: float
-    ode_residual: float
-    bc_residuals: tuple
     in_cone: bool
     method: str
     positive: bool
     diverged: bool = False
+    error_estimate: float = np.nan
 
 
 def build_operator(problem: Problem, quad: Optional[Quadrature] = None) -> NystromOperator:
@@ -131,8 +109,7 @@ def constant_start(op: NystromOperator, c: float) -> DiscreteFunction:
 
 
 def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
-           tol: float = 1e-10, max_iter: int = 500,
-           resample_m: int = 401) -> SolveReport:
+           tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
     """Damped successive substitution u <- (1-omega) u + omega Au.
 
     Stops when the undamped update ||Au - u|| drops below tol (so a
@@ -161,11 +138,11 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
     if not converged and not diverged:
         fp = float(np.max(np.abs(kmat @ f(u) - u)))
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
-    return _finish_report(op, sol, converged, iterations, fp, "picard", diverged, resample_m)
+    return _finish_report(op, sol, converged, iterations, fp, "picard", diverged)
 
 
 def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
-           max_iter: int = 500, resample_m: int = 401) -> SolveReport:
+           max_iter: int = 500) -> SolveReport:
     """Damped Newton on F(u) = u - Au.
 
     The Jacobian I - K diag(f'(u)) uses central finite differences for
@@ -211,29 +188,25 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
         fp = float(np.max(np.abs(u - kmat @ f(u))))
         converged = fp <= tol
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
-    return _finish_report(op, sol, converged, iterations, fp, "newton", diverged, resample_m)
+    return _finish_report(op, sol, converged, iterations, fp, "newton", diverged)
 
 
-def solve_auto(problem: Problem, quad: Optional[Quadrature] = None,
-               method: str = "auto", starts=(0.1, 1.0, 10.0, 100.0),
-               omega: float = 0.8, tol: float = 1e-10, max_iter: int = 500,
-               positivity_tol: float = POSITIVITY_TOL,
-               resample_m: int = 401) -> SolveReport:
+def solve_auto(problem: Problem, method: str = "auto",
+               starts=(0.1, 1.0, 10.0, 100.0), omega: float = 0.8,
+               tol: float = 1e-10, max_iter: int = 500,
+               positivity_tol: float = POSITIVITY_TOL) -> SolveReport:
     """Multi-start search for a nontrivial positive fixed point.
 
     Runs Picard from each constant start and falls back to Newton when
     Picard stalls, diverges, or lands on the trivial solution. Returns
     the first converged report with ||u|| above the positivity threshold;
     if only the trivial fixed point is found it is returned flagged
-    not-positive. Failure is reported, never raised.
+    not-positive. Failure is reported, never raised. Only the returned
+    report gets an error_estimate.
     """
     if method not in ("auto", "picard", "newton"):
         raise InvalidConfig(f"unknown method {method!r}")
-    op = build_operator(problem, quad)
-    attempts = []
-
-    def accept(report):
-        return report.converged and report.solution.sup_norm() >= positivity_tol
+    op = build_operator(problem)
 
     def attempt(run, *args, **kwargs):
         # a start that drives f out of its domain is a failed attempt,
@@ -241,37 +214,35 @@ def solve_auto(problem: Problem, quad: Optional[Quadrature] = None,
         try:
             return run(op, *args, **kwargs)
         except DomainError:
-            stub = args[0]
-            return SolveReport(stub, False, 0, np.inf, np.inf, (np.inf,) * 4,
-                               False, run.__name__, False, True)
+            return SolveReport(args[0], op, False, 0, np.inf, False, run.__name__,
+                               False, True)
 
-    for c in starts:
-        u0 = constant_start(op, c)
-        picard_final = None
-        if method in ("auto", "picard"):
-            report = attempt(picard, u0, omega=omega, tol=tol, max_iter=max_iter,
-                             resample_m=resample_m)
-            if accept(report):
-                return report
-            attempts.append(report)
-            picard_final = report.solution
-        if method in ("auto", "newton"):
-            report = attempt(newton, u0, tol=tol, max_iter=max_iter,
-                             resample_m=resample_m)
-            if accept(report):
-                return report
-            attempts.append(report)
-            if (method == "auto" and picard_final is not None
-                    and 0.0 < picard_final.sup_norm() < OVERFLOW_GUARD):
-                report = attempt(newton, picard_final, tol=tol, max_iter=max_iter,
-                                 resample_m=resample_m)
-                if accept(report):
-                    return report
-                attempts.append(report)
-    for report in attempts:
-        if report.converged:
-            return report
-    return attempts[-1]
+    def attempts():
+        for c in starts:
+            u0 = constant_start(op, c)
+            picard_final = None
+            if method in ("auto", "picard"):
+                report = attempt(picard, u0, omega=omega, tol=tol, max_iter=max_iter)
+                yield report
+                picard_final = report.solution
+            if method in ("auto", "newton"):
+                yield attempt(newton, u0, tol=tol, max_iter=max_iter)
+                if (method == "auto" and picard_final is not None
+                        and 0.0 < picard_final.sup_norm() < OVERFLOW_GUARD):
+                    yield attempt(newton, picard_final, tol=tol, max_iter=max_iter)
+
+    tried = []
+    for report in attempts():
+        if report.converged and report.solution.sup_norm() >= positivity_tol:
+            break
+        tried.append(report)
+    else:
+        report = next((r for r in tried if r.converged), tried[-1])
+    try:
+        report.error_estimate = np.inf if report.diverged else residuals(report.solution, problem)
+    except DomainError:
+        report.error_estimate = np.inf
+    return report
 
 
 def _fd_derivative(f, u):
@@ -283,7 +254,7 @@ def _fd_derivative(f, u):
         return (f(u + h) - f(u)) / h
 
 
-def _finish_report(op, sol, converged, iterations, fp, method, diverged, resample_m):
+def _finish_report(op, sol, converged, iterations, fp, method, diverged):
     problem = op.problem
     sup = sol.sup_norm()
     positive = sup >= POSITIVITY_TOL
@@ -297,155 +268,55 @@ def _finish_report(op, sol, converged, iterations, fp, method, diverged, resampl
         strip_min = float(np.min(interpolate(sol, problem,
                                              np.linspace(theta, 1.0 - theta, 9))))
     in_cone = strip_min >= problem.cone.gamma * sup - CONE_SLACK
-    if diverged or sup > 1e6:
-        ode, bcs = np.inf, (np.inf,) * 4
-    else:
-        rr = residuals(sol, problem, resample_m)
-        ode, bcs = rr.ode_residual, rr.bc_residuals
-    return SolveReport(sol, converged, iterations, fp, ode, bcs, in_cone,
-                       method, positive, diverged)
+    return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
+                       positive, diverged)
 
 
 # ---------------------------------------------------------------------------
-# residual diagnostics
+# a-posteriori error estimate
 
 
-def residuals(u: DiscreteFunction, problem: Problem, m: int = 401) -> ResidualReport:
-    """Strong-form residuals of a grid function on a uniform m-point grid.
+def residuals(u: DiscreteFunction, problem: Problem) -> float:
+    """Error estimate max |A'[u_I](sigma) - u_I(sigma)| of a grid function.
 
-    The function is carried off its nodes by the operator's natural
-    interpolation, rebuilt through the antiderivative form described in
-    the module docstring, and differenced with the interior 5-point
-    stencil. Boundary derivatives are one-sided stencils with a local
-    step small enough to stay clear of the interpolant's kinks.
+    u_I is the natural interpolant, sigma are the nodes of the problem's
+    rule with twice the panels, and A' is the operator discretized on
+    that refined rule. The result is in solution units. Raises
+    DomainError if f is not finite on the interpolant.
     """
-    if m < 101:
-        raise InvalidConfig("resampling grid needs m >= 101")
-    if not np.array_equal(u.nodes, problem.quad.nodes):
+    q = problem.quad
+    if not np.array_equal(u.nodes, q.nodes):
         raise InvalidConfig("grid function does not live on the problem's nodes")
-    interp = _NaturalInterp(u, problem)
-    recon = _Reconstruction(interp)
+    fine = make_quadrature(q.rule, 2 * q.panels, q.points_per_panel)
+    u_fine = interpolate(u, problem, fine.nodes)
+    return float(np.max(np.abs(_refined_apply(problem, fine, problem.f(u_fine)) - u_fine)))
 
-    ts = np.arange(m, dtype=_LD) / _LD(m - 1)
-    ubar = recon(ts)
-    fbar = np.asarray(problem.f(ubar), dtype=_LD)
-    h = _LD(1) / _LD(m - 1)
-    d4 = ubar[:-4] - 4.0 * ubar[1:-3] + 6.0 * ubar[2:-2] - 4.0 * ubar[3:-1] + ubar[4:]
-    scale = max(1.0, float(np.max(np.abs(recon.forcing))))
-    ode = float(np.max(np.abs(d4 / h**4 + fbar[2:-2]))) / scale
 
-    bcs = _boundary_residuals(interp, problem)
-    return ResidualReport(ode, bcs, scale, m)
+def _refined_apply(problem: Problem, fine: Quadrature, g) -> np.ndarray:
+    """(K g) at the nodes of `fine`, K the dense collocation matrix that
+    build_operator(problem, fine) would assemble, in O(M) work.
+
+    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6 and sorted nodes, the sum
+    over s_k <= t expands into cumulative moments of s^p w g, p = 0..3;
+    the nonlocal part collapses into one constant, the a-weighted integral
+    of the Green's part.
+    """
+    s, wg = fine.nodes, fine.weights * g
+    m0, m1, m2, m3 = (np.cumsum(wg * s**p) for p in range(4))
+    hump = s**3 * m0 - 3.0 * s**2 * m1 + 3.0 * s * m2 - m3
+    green_part = (s**3 * np.dot(wg, (1.0 - s) ** 2) - hump) / 6.0
+    alpha = integrate(problem.a, fine)
+    return green_part + np.dot(problem.a(s) * fine.weights, green_part) / (1.0 - alpha)
 
 
 def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
-    """Natural interpolation of a grid function at arbitrary points."""
-    interp = _NaturalInterp(u, problem)
-    return np.asarray(interp(np.asarray(ts, dtype=_LD)), dtype=float)
-
-
-class _NaturalInterp:
-    """u(t) = sum_j G(t, s_j) w_j f(u_j) + const, in extended precision.
+    """Natural interpolation u(t) = sum_j [G(t, s_j) + W(s_j)] w_j f(u_j).
 
     The nonlocal part of the kernel does not depend on t, so it collapses
     into one constant equal to the interpolant's value at t = 0.
     """
-
-    def __init__(self, u, problem):
-        q = problem.quad
-        self.sj = q.nodes.astype(_LD)
-        wj = q.weights.astype(_LD)
-        fj = np.asarray(problem.f(u.values.astype(_LD)), dtype=_LD)
-        self.coeff = wj * fj
-        a_tau = np.asarray(problem.a(self.sj), dtype=_LD)
-        alpha = float(np.dot(a_tau, wj))
-        gmat = green(self.sj[:, None], self.sj[None, :])
-        weight_cols = (a_tau * wj) @ gmat / (_LD(1) - _LD(alpha))
-        self.const = np.dot(weight_cols, self.coeff)
-        self.problem = problem
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=_LD)
-        flat = np.atleast_1d(t).ravel()
-        vals = green(flat[:, None], self.sj[None, :]) @ self.coeff + self.const
-        return vals.reshape(t.shape) if t.ndim else vals[0]
-
-
-class _Reconstruction:
-    """Antiderivative rebuild of the interpolant with a fixed fine rule."""
-
-    PANELS = 64
-    POINTS = 4
-
-    def __init__(self, interp):
-        self.interp = interp
-        f = interp.problem.f
-        xg, wg = _gauss_rule_ld(self.POINTS)
-        self.xg, self.wg = xg, wg
-        width = _LD(1) / _LD(self.PANELS)
-        left = np.arange(self.PANELS, dtype=_LD)[:, None] * width
-        self.snodes = left + (xg[None, :] + 1.0) * (width / 2.0)
-        self.sweights = np.broadcast_to(wg * (width / 2.0),
-                                        self.snodes.shape)
-        self.forcing = np.asarray(f(self.interp(self.snodes.ravel())),
-                                  dtype=_LD).reshape(self.snodes.shape)
-        # per-panel moments of s^k * g(s); prefix sums make the full-panel
-        # part of the antiderivative a cubic in t with frozen coefficients
-        self.prefix = []
-        for k in range(4):
-            mk = np.sum(self.sweights * self.snodes**k * self.forcing, axis=1)
-            self.prefix.append(np.concatenate(([_LD(0)], np.cumsum(mk))))
-        self.c1 = np.sum(self.sweights * (1.0 - self.snodes) ** 2 * self.forcing)
-        self.c4 = interp.const
-
-    def __call__(self, ts):
-        ts = np.asarray(ts, dtype=_LD)
-        idx = np.minimum(np.floor(ts * self.PANELS).astype(int), self.PANELS - 1)
-        b = idx.astype(_LD) / _LD(self.PANELS)
-        s0, s1, s2, s3 = (p[idx] for p in self.prefix)
-        poly = ts**3 * s0 - 3.0 * ts**2 * s1 + 3.0 * ts * s2 - s3
-        widths = np.maximum(ts - b, _LD(0))
-        tnodes = b[:, None] + (self.xg[None, :] + 1.0) * (widths[:, None] / 2.0)
-        tg = np.asarray(self.interp.problem.f(self.interp(tnodes.ravel())),
-                        dtype=_LD).reshape(tnodes.shape)
-        tail = (widths / 2.0) * np.sum(
-            self.wg[None, :] * (ts[:, None] - tnodes) ** 3 * tg, axis=1)
-        hist = poly + tail
-        return self.c4 + (self.c1 * ts**3 - hist) / 6.0
-
-
-def _boundary_residuals(interp, problem):
     q = problem.quad
-    edge = min(float(q.nodes[0]), float(1.0 - q.nodes[-1]))
-    hb = _LD(min(1e-3, edge / 5.5)) if edge > 0 else _LD(1e-5)
-
-    v = interp(hb * np.arange(6, dtype=_LD))
-    d1_0 = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12 * hb)
-    d2_0 = (45 * v[0] - 154 * v[1] + 214 * v[2] - 156 * v[3] + 61 * v[4]
-            - 10 * v[5]) / (12 * hb**2)
-    w = interp(_LD(1) - hb * np.arange(5, dtype=_LD))
-    d1_1 = (25 * w[0] - 48 * w[1] + 36 * w[2] - 16 * w[3] + 3 * w[4]) / (12 * hb)
-
-    u_nodes = interp(interp.sj)
-    a_vals = np.asarray(problem.a(interp.sj), dtype=_LD)
-    nonlocal_gap = v[0] - np.dot(a_vals * q.weights.astype(_LD), u_nodes)
-    return (abs(float(d1_0)), abs(float(d1_1)), abs(float(d2_0)),
-            abs(float(nonlocal_gap)))
-
-
-def _gauss_rule_ld(npts):
-    """Gauss-Legendre nodes/weights on [-1, 1], Newton-refined to
-    extended precision (the double-precision rule's exactness defect is
-    visible after fourth-difference amplification)."""
-    x = np.polynomial.legendre.leggauss(npts)[0].astype(_LD)
-    for _ in range(3):
-        p_prev, p = np.ones_like(x), x.copy()
-        for k in range(1, npts):
-            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        dp = npts * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    p_prev, p = np.ones_like(x), x.copy()
-    for k in range(1, npts):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    dp = npts * (x * p - p_prev) / (x * x - 1.0)
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    coeff = q.weights * problem.f(u.values)
+    const = np.dot(kernel_weight(q.nodes, problem.a, problem.cone.alpha, q), coeff)
+    ts = np.asarray(ts, dtype=float)
+    return np.reshape(green(ts.reshape(-1, 1), q.nodes[None, :]) @ coeff + const, ts.shape)

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import make_problem
+from .errors import InvalidConfig
 from .expressions import parse
-from .kernel import green, rho
+from .kernel import green, lower_envelope, strip_lower_bound, upper_envelope
 from .oracle import fd_solve_linear, formula_solve_linear
 from .quadrature import default_quadrature, integrate, integrate_on
 from .solver import apply, build_operator, interpolate, DiscreteFunction
@@ -47,6 +48,12 @@ def run_checks(seed: int = 20240901, green_offset: float = 0.0,
     """
     rng = np.random.default_rng(seed)
     thetas = sorted({0.1, 0.25, 0.4, theta})
+    grid = np.linspace(0.0, 1.0, max(grid_m, 0))
+    for th in thetas:
+        # a strip check over no grid point could not fail
+        if not np.any((grid >= th) & (grid <= 1.0 - th)):
+            raise InvalidConfig(f"a {grid_m}-point grid has no point in the "
+                                f"strip [{th}, {1.0 - th}]")
     checks = []
     checks.extend(_kernel_checks(green_offset, grid_m, thetas, rng))
     checks.extend(_path_checks(rng))
@@ -62,36 +69,38 @@ def run_checks(seed: int = 20240901, green_offset: float = 0.0,
 
 
 def _kernel_checks(offset, m, thetas, rng):
+    def kernel(t, s):
+        return green(t, s) + offset
+
     ts = np.linspace(0.0, 1.0, m)[:, None]
     ss = np.linspace(0.0, 1.0, m)[None, :]
-    g = green(ts, ss) + offset
-    envelope = ss * (1.0 - ss) ** 2
+    g = kernel(ts, ss)
 
     results = [
         _floor("green_nonnegative", float(np.min(g)), -1e-15),
-        _floor("green_lower_envelope", float(np.min(g - rho(ts) * envelope)), -1e-14),
-        _ceiling("green_upper_envelope", float(np.max(g - envelope / 6.0)), 1e-14),
+        _floor("green_lower_envelope", float(np.min(g - lower_envelope(ts, ss))), -1e-14),
+        _ceiling("green_upper_envelope", float(np.max(g - upper_envelope(ss))), 1e-14),
     ]
     for theta in thetas:
         strip = (ts >= theta) & (ts <= 1.0 - theta)
-        gap = np.where(strip, g - theta**3 / 6.0 * envelope, np.inf)
+        gap = np.where(strip, g - strip_lower_bound(theta, ss), np.inf)
         results.append(_floor(f"green_strip_floor_theta_{theta}", float(np.min(gap)), -1e-14))
     lower_tri = np.where(ss <= ts, g - ss * (ts - ss) ** 2 / 6.0, np.inf)
     results.append(_floor("green_triangle_floor", float(np.min(lower_tri)), -1e-14))
 
+    # s = t takes the s <= t branch; the next double above t takes the other
     t_rand = rng.uniform(0.0, 1.0, 100)
-    below = (t_rand**3 * (1.0 - t_rand) ** 2 - 0.0) / 6.0 + offset
-    above = t_rand**3 * (1.0 - t_rand) ** 2 / 6.0 + offset
-    results.append(_ceiling("green_branch_match", float(np.max(np.abs(below - above))), 1e-15))
+    jump = kernel(t_rand, t_rand) - kernel(t_rand, np.nextafter(t_rand, 1.0))
+    results.append(_ceiling("green_branch_match", float(np.max(np.abs(jump))), 1e-15))
 
     q = default_quadrature()
     a = parse("t^2", "t")
     alpha = integrate(a, q)
     coeff = np.asarray(a(q.nodes)) * q.weights
     sgrid = np.linspace(0.0, 1.0, 201)
-    weight = coeff @ (green(q.nodes[:, None], sgrid[None, :]) + offset) / (1.0 - alpha)
-    kern = green(np.linspace(0.0, 1.0, 201)[:, None], sgrid[None, :]) + offset + weight[None, :]
-    bound = sgrid * (1.0 - sgrid) ** 2 / (6.0 * (1.0 - alpha))
+    weight = coeff @ kernel(q.nodes[:, None], sgrid[None, :]) / (1.0 - alpha)
+    kern = kernel(np.linspace(0.0, 1.0, 201)[:, None], sgrid[None, :]) + weight[None, :]
+    bound = upper_envelope(sgrid) / (1.0 - alpha)
     results.append(_ceiling("kernel_upper_bound", float(np.max(kern - bound[None, :])), 1e-12))
     return results
 

@@ -21,7 +21,7 @@ F_SUB = "sqrt(1+u)+sin(u)"
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(f_text=F_SUPER, a_text="t^2", theta=0.3, rule="composite-simpson",
                     panels=5, points=5, method="picard", omega=0.9, tol=1e-8,
-                    max_iter=321, starts=(0.5, 2.0), oracle_n=201,
+                    max_iter=321, starts=(0.5, 2.0),
                     out_dir="somewhere", write_json=False, write_csv=True, seed=99)
     path = tmp_path / "run.ini"
     cfg.to_file(path)
@@ -41,6 +41,13 @@ def test_config_validation():
         RunConfig(starts=()).validate()
 
 
+@pytest.mark.parametrize("line", ["tol = nan", "starts = 1.0, nan"])
+def test_config_rejects_non_finite_values(tmp_path, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[problem]\nf = \"{F_SUB}\"\na = \"t\"\n[solver]\n{line}\n")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[problem]\nmystery = 1\n")
@@ -56,6 +63,7 @@ def test_solve_superlinear_exits_zero(tmp_path):
     assert report["converged"] and report["positive"]
     assert report["fp_residual"] <= 1e-8
     assert report["alpha"] == pytest.approx(1 / 3, rel=1e-12)
+    assert 0.0 < report["error_estimate"] < 1e-2
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "t,u,Au,fp_residual"
     assert len(lines) == 33
@@ -120,6 +128,13 @@ def test_verify_accepts_wide_theta(tmp_path):
     assert "green_strip_floor_theta_0.49" in names
 
 
+def test_verify_rejects_grid_missing_a_strip(tmp_path):
+    # a 2-point grid {0, 1} has no point in any strip, so those checks
+    # could not fail
+    assert main(["verify", "--out", str(tmp_path), "--grid-m", "2"]) == EXIT_USAGE
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_classify_json_carries_limit_fields(tmp_path):
     assert main(["classify", "--f", F_SUPER, "--a", "t^2", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "classify.json").read_text())
@@ -146,6 +161,11 @@ def test_green_small_table(tmp_path):
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     corners = rows[(rows[:, 0] == 0.0) | (rows[:, 1] == 1.0)]
     assert np.all(corners[:, 2] == 0.0)
+
+
+def test_green_rejects_empty_table(tmp_path):
+    assert main(["green", "--out", str(tmp_path), "--grid-m", "0"]) == EXIT_USAGE
+    assert not (tmp_path / "green.csv").exists()
 
 
 def test_green_kernel_dominates_green(tmp_path):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from beambvp.errors import HypothesisViolation, InvalidConfig, NegativeWeight, OutOfDomain
+from beambvp.analysis import make_problem, validate_hypotheses
+from beambvp.errors import HypothesisViolation, InvalidConfig, OutOfDomain
 from beambvp.expressions import parse
 from beambvp.kernel import (
-    cone_constants,
     green,
-    kernel_eval,
     kernel_weight,
     lower_envelope,
     rho,
@@ -35,12 +34,11 @@ def test_green_point_values():
 
 
 def test_green_branches_agree_on_diagonal():
+    # s = t takes the s <= t branch; the next double above t takes the other
     rng = np.random.default_rng(7)
     t = rng.uniform(0.0, 1.0, 100)
-    below = (t**3 * (1.0 - t) ** 2 - (t - t) ** 3) / 6.0
-    above = t**3 * (1.0 - t) ** 2 / 6.0
-    assert np.max(np.abs(below - above)) <= 1e-15
-    assert np.allclose(green(t, t), above, rtol=0, atol=1e-18)
+    assert np.max(np.abs(green(t, t) - green(t, np.nextafter(t, 1.0)))) <= 1e-15
+    assert np.allclose(green(t, t), t**3 * (1.0 - t) ** 2 / 6.0, rtol=0, atol=1e-18)
 
 
 def test_green_out_of_domain():
@@ -107,18 +105,23 @@ def test_kernel_weight_rejects_bad_alpha():
         kernel_weight(0.5, A_LIN, 1.2, q)
 
 
+def kernel(t, s, a, alpha, q):
+    """Full kernel G(t, s) + W(s); s may be a scalar or 1-d array."""
+    return green(t, s) + kernel_weight(s, a, alpha, q)
+
+
 def test_kernel_eval_reduces_to_green():
     q = default_quadrature()
     t = np.linspace(0.0, 1.0, 21)[:, None]
     s = np.linspace(0.0, 1.0, 21)
-    assert np.allclose(kernel_eval(t, s, A_ZERO, 0.0, q), green(t, s[None, :]), atol=0)
+    assert np.allclose(kernel(t, s, A_ZERO, 0.0, q), green(t, s[None, :]), atol=0)
 
 
 def test_kernel_eval_examples():
     q = default_quadrature()
-    assert kernel_eval(0.0, 0.5, A_HALF, 0.5, q) == pytest.approx(0.0078125, abs=1e-15)
+    assert kernel(0.0, 0.5, A_HALF, 0.5, q) == pytest.approx(0.0078125, abs=1e-15)
     t = np.linspace(0.0, 1.0, 21)
-    vals = np.array([kernel_eval(float(x), 1.0, A_QUAD, 1 / 3, q) for x in t])
+    vals = np.array([kernel(float(x), 1.0, A_QUAD, 1 / 3, q) for x in t])
     assert np.max(np.abs(vals)) <= 1e-15
 
 
@@ -129,14 +132,13 @@ def test_kernel_upper_bound():
     alpha = integrate(A_QUAD, q)
     t = np.linspace(0.0, 1.0, 201)[:, None]
     s = np.linspace(0.0, 1.0, 201)
-    kern = kernel_eval(t, s, A_QUAD, alpha, q)
+    kern = kernel(t, s, A_QUAD, alpha, q)
     bound = s * (1 - s) ** 2 / (6.0 * (1.0 - alpha))
     assert np.max(kern - bound[None, :]) <= 1e-12
 
 
 def test_cone_constants_quadratic_weight():
-    q = default_quadrature()
-    c = cone_constants(A_QUAD, 0.25, q)
+    c = make_problem("u", A_QUAD, 0.25).cone
     assert c.alpha == pytest.approx(1 / 3, rel=1e-14)
     assert c.beta == pytest.approx((0.75**3 - 0.25**3) / 3, rel=1e-14)
     assert c.gamma == pytest.approx(0.25**3 * (1 - 1 / 3 + c.beta), rel=1e-14)
@@ -144,8 +146,7 @@ def test_cone_constants_quadratic_weight():
 
 
 def test_cone_constants_linear_weight():
-    q = default_quadrature()
-    c = cone_constants(A_LIN, 0.25, q)
+    c = make_problem("u", A_LIN, 0.25).cone
     assert c.alpha == pytest.approx(0.5, rel=1e-14)
     assert c.beta == pytest.approx(0.25, rel=1e-14)
     assert c.gamma == pytest.approx(0.01171875, rel=1e-12)
@@ -153,19 +154,18 @@ def test_cone_constants_linear_weight():
 
 @pytest.mark.parametrize("theta", [0.05, 0.2, 0.35, 0.49])
 def test_beta_never_exceeds_alpha(theta):
-    q = default_quadrature()
-    c = cone_constants(A_QUAD, theta, q)
+    c = make_problem("u", A_QUAD, theta).cone
     assert 0.0 <= c.beta <= c.alpha
     assert 0.0 < c.gamma < 1.0
 
 
 def test_cone_constants_gates():
-    q = default_quadrature()
-    with pytest.raises(HypothesisViolation):
-        cone_constants(parse("2*t", "t"), 0.25, q)
-    with pytest.raises(HypothesisViolation):
-        cone_constants(A_ZERO, 0.25, q)
-    with pytest.raises(NegativeWeight):
-        cone_constants(parse("t-1", "t"), 0.25, q)
+    def codes(a_text):
+        report = validate_hypotheses(make_problem("u", a_text, 0.25))
+        return {v.code for v in report.violations}
+
+    assert codes("2*t") == {"alpha-range"}
+    assert codes("0*t") == {"alpha-range"}
+    assert "a-negative" in codes("t-1")
     with pytest.raises(InvalidConfig):
-        cone_constants(A_QUAD, 0.6, q)
+        make_problem("u", A_QUAD, 0.6)

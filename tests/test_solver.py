@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from beambvp import solver
 from beambvp.analysis import make_problem
-from beambvp.errors import InvalidConfig
+from beambvp.errors import DomainError, InvalidConfig
 from beambvp.oracle import fd_solve_nonlinear
 from beambvp.quadrature import make_quadrature
 from beambvp.solver import (
@@ -15,6 +16,7 @@ from beambvp.solver import (
     picard,
     residuals,
     solve_auto,
+    _refined_apply,
 )
 
 F_SUPER = "u^2*(exp(-u)+1)"
@@ -230,8 +232,7 @@ def test_solve_auto_end_to_end_on_simpson_rule():
     p = make_problem(F_SUB, "t", 0.25, q)
     report = solve_auto(p)
     assert report.converged and report.positive and report.in_cone
-    assert report.ode_residual <= 1e-3
-    assert max(report.bc_residuals) <= 1e-6
+    assert report.error_estimate <= 1e-4
 
 
 def test_solve_auto_narrow_strip():
@@ -251,42 +252,87 @@ def test_min_on_empty_strip_raises():
 def test_residuals_zero_solution():
     p = make_problem("0*u", "0*t", 0.25)
     q = p.quad
-    rr = residuals(DiscreteFunction(q.nodes.copy(), np.zeros(q.npoints)), p)
-    assert rr.ode_residual == 0.0
-    assert all(b == 0.0 for b in rr.bc_residuals)
+    assert residuals(DiscreteFunction(q.nodes.copy(), np.zeros(q.npoints)), p) == 0.0
 
 
 def test_residuals_uniform_load_closed_form():
-    # stencil is exact on the quartic up to rounding; the boundary
-    # derivative stencils see an exactly clamped interpolant
+    # with f = 1 the interpolant is the rule's approximation of the
+    # uniform-load deflection; the estimate must see its error
     p = make_problem("0*u+1", "0*t", 0.25)
     q = p.quad
     u = DiscreteFunction(q.nodes.copy(), uniform_load_deflection(q.nodes))
-    rr = residuals(u, p, 401)
-    assert rr.ode_residual <= 1e-8
-    assert max(rr.bc_residuals) <= 1e-6
+    fine = make_quadrature("gauss-legendre", 2 * q.panels, 4)
+    error = np.max(np.abs(interpolate(u, p, fine.nodes) - uniform_load_deflection(fine.nodes)))
+    estimate = residuals(u, p)
+    assert 0.1 * error <= estimate <= 10.0 * error
 
 
-def test_residuals_sublinear_solution(sub_solution):
+def test_residuals_sublinear_solution(sub_problem, sub_solution):
     _, report = sub_solution
-    assert report.ode_residual <= 1e-3
-    assert max(report.bc_residuals) <= 1e-6
+    assert residuals(report.solution, sub_problem) <= 1e-4
 
 
-def test_residual_scale_bound(sub_problem, sub_solution):
-    # converged solutions keep the absolute interior defect within
-    # 100 h^2 of the forcing scale
-    _, report = sub_solution
-    rr = residuals(report.solution, sub_problem, 401)
-    h = 1.0 / 400.0
-    absolute_defect = rr.ode_residual * rr.forcing_scale
-    assert absolute_defect <= 100.0 * h**2 * rr.forcing_scale
+def test_residual_scale_bound():
+    # the estimate falls with the kernel-kink-limited O(h^4) error
+    estimates = []
+    for panels in (8, 16, 32):
+        p = make_problem(F_SUB, "t", 0.25, make_quadrature("gauss-legendre", panels, 4))
+        estimates.append(solve_auto(p).error_estimate)
+    assert estimates[0] >= 8.0 * estimates[1]
+    assert estimates[1] >= 8.0 * estimates[2]
 
 
-def test_residuals_guard_small_grid(sub_problem, sub_solution):
-    _, report = sub_solution
-    with pytest.raises(InvalidConfig):
-        residuals(report.solution, sub_problem, m=50)
+@pytest.mark.parametrize("rule, panels, points", [("gauss-legendre", 4, 2), ("simpson", 8, 5)])
+def test_residuals_flag_coarse_superlinear_grids(rule, panels, points):
+    # the solution is off by ~0.2 and ~2.7e-3 here, far above 1e-4
+    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(rule, panels, points))
+    report = solve_auto(p)
+    assert report.converged and report.positive
+    assert report.error_estimate > 1e-4
+
+
+@pytest.mark.parametrize("rule, panels, points", [("gauss-legendre", 8, 4), ("simpson", 4, 5)])
+def test_refined_sum_matches_dense_operator(super_problem, rule, panels, points):
+    fine = make_quadrature(rule, panels, points)
+    g = np.random.default_rng(5).uniform(0.0, 100.0, fine.npoints)
+    dense = build_operator(super_problem, fine).kmatrix @ g
+    fast = _refined_apply(super_problem, fine, g)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_solve_auto_estimates_only_the_returned_report(super_problem, monkeypatch):
+    # the superlinear solve discards ten attempts before Newton from 100
+    estimated = []
+    real = solver.residuals
+
+    def counting(u, problem):
+        estimated.append(u)
+        return real(u, problem)
+
+    monkeypatch.setattr(solver, "residuals", counting)
+    report = solve_auto(super_problem)
+    assert len(estimated) == 1 and estimated[0] is report.solution
+    op = build_operator(super_problem)
+    assert np.isnan(picard(op, constant_start(op, 1.0)).error_estimate)
+
+
+def test_failed_estimate_is_inf_and_keeps_the_solution(super_problem, monkeypatch):
+    expected = solve_auto(super_problem).solution.values
+
+    def failing(u, problem):
+        raise DomainError("f is not finite on the interpolant")
+
+    monkeypatch.setattr(solver, "residuals", failing)
+    report = solve_auto(super_problem)
+    assert report.error_estimate == np.inf
+    assert np.array_equal(report.solution.values, expected)
+
+
+def test_diverged_report_estimate_is_inf():
+    p = make_problem("u^2", "t", 0.25)
+    report = solve_auto(p, method="picard", starts=(1000.0,), omega=1.0, max_iter=50)
+    assert report.diverged
+    assert report.error_estimate == np.inf
 
 
 def test_grid_convergence_sublinear():
