@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfig
+from .errors import DomainError, HypothesisViolation, InvalidConfig
 from .expressions import Expression, parse
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 
@@ -25,6 +25,14 @@ NEAR_ZERO = 1e-3
 # 1 - alpha divides the kernel weight, and quadrature rounding can land an
 # inadmissible weight a hair inside the open window (0, 1)
 ALPHA_MARGIN = 1e-12
+
+
+def _check_alpha(alpha: float) -> float:
+    """alpha, if 1/(1 - alpha) may scale the nonlocal weight: raises
+    HypothesisViolation unless 0 <= alpha < 1 - ALPHA_MARGIN (a zero a passes)."""
+    if not 0.0 <= alpha < 1.0 - ALPHA_MARGIN:
+        raise HypothesisViolation(f"alpha = {alpha} outside [0, 1 - {ALPHA_MARGIN})")
+    return alpha
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: solve, verify, classify (alias certificate), green.
-Exit codes: 0 success, 1 usage or parse error, 2 only the trivial
-solution was found, 3 hypothesis violation, 4 a verification check
-failed.
+Exit codes: 0 success, 1 usage or parse error, 2 no positive solution
+was found, 3 hypothesis violation, 4 a verification check failed.
 """
 
 from __future__ import annotations

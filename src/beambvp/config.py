@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
@@ -75,7 +75,6 @@ class RunConfig:
         cp = configparser.ConfigParser()
         cp.read(path)
         kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
         for section in cp.sections():
             if section not in _SECTIONS:
                 raise InvalidConfig(f"unknown config section [{section}]")
@@ -108,12 +107,15 @@ def _parse(name, raw):
         if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
             return raw[1:-1]
         return raw
-    if name in ("theta", "omega", "tol"):
-        return float(raw)
-    if name in ("panels", "points", "max_iter", "seed"):
-        return int(raw)
-    if name == "starts":
-        return tuple(float(part) for part in raw.split(",") if part.strip())
+    try:
+        if name in ("theta", "omega", "tol"):
+            return float(raw)
+        if name in ("panels", "points", "max_iter", "seed"):
+            return int(raw)
+        if name == "starts":
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise InvalidConfig(f"number expected for {name}, got {raw!r}") from None
     if name in ("write_json", "write_csv"):
         if raw.lower() in ("true", "1", "yes", "on"):
             return True

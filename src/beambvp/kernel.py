@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import HypothesisViolation, OutOfDomain
+from .analysis import _check_alpha
+from .errors import OutOfDomain
 from .expressions import Expression
 from .quadrature import Quadrature
 
@@ -70,8 +71,7 @@ def kernel_weight(s, a: Expression, alpha: float, q: Quadrature):
     alpha = 0 (identically zero weight) is admitted here so kernel-level
     tests can exercise the plain Green's function.
     """
-    if alpha != 0.0 and not 0.0 < alpha < 1.0:
-        raise HypothesisViolation(f"alpha = {alpha} outside [0, 1)")
+    _check_alpha(alpha)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     coeff = np.asarray(a(q.nodes)) * q.weights
     w = coeff @ green(q.nodes[:, None], s_arr[None, :]) / (1.0 - alpha)

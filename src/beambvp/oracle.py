@@ -4,7 +4,7 @@ Two ways to solve u'''' + y = 0 with u'(0) = u'(1) = u''(0) = 0 and
 u(0) = integral a u:
 
 * formula_solve_linear evaluates the closed-form kernel representation,
-  splitting every integral at the kernel's diagonal kink so smooth
+  splitting the Green's integral at the kernel's diagonal kink so smooth
   forcings are integrated at full rule accuracy;
 * fd_solve_linear discretizes the differential equation directly on a
   uniform grid (5-point interior stencil, one-sided second-order
@@ -22,40 +22,38 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import InvalidConfig, SingularSystem
+from .errors import DomainError, InvalidConfig, SingularSystem
 from .expressions import Expression
 from .kernel import green
-from .quadrature import Quadrature, _sample, integrate, integrate_on
+from .quadrature import Quadrature, _sample, integrate
 from .solver import DiscreteFunction, _fd_derivative
 
 
 def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> DiscreteFunction:
-    """Closed-form solution u(t) = integral kernel(t, s) y(s) ds.
+    """Closed-form solution u(t) = (Gy)(t) + c, (Gy)(t) = integral G(t, s) y(s) ds.
 
     The s-integral is split at s = t (the kernel is polynomial on each
-    side), and the nonlocal weight's tau-integral is split at tau = s,
-    so polynomial forcings are resolved to near machine precision.
+    side), so polynomial forcings are resolved to near machine precision.
+    Since G(0, s) = 0, the nonlocal condition u(0) = integral a u makes c
+    the constant integral a(s) (Gy)(s) ds / (1 - alpha); Gy is smooth, so
+    the rule integrates it without a split.
     """
     ts = np.atleast_1d(np.asarray(eval_nodes, dtype=float))
     alpha = integrate(a, q)
     if not 0.0 <= alpha < 1.0:
         raise InvalidConfig(f"integral of a must lie in [0, 1), got {alpha}")
-
-    def weight_at(s):
-        part = integrate_on(lambda tau: np.asarray(a(tau)) * green(tau, s), 0.0, s, q)
-        part += integrate_on(lambda tau: np.asarray(a(tau)) * green(tau, s), s, 1.0, q)
-        return part / (1.0 - alpha)
-
-    # t-independent nonlocal contribution: integral W(s) y(s) ds
-    wvals = np.array([weight_at(s) for s in q.nodes])
-    yvals = _sample(y, q.nodes)
-    nonlocal_term = float(np.dot(q.weights, wvals * yvals))
-
-    out = np.empty_like(ts)
-    for i, t in enumerate(ts):
-        gy = lambda s: green(t, s) * _sample(y, s)
-        out[i] = integrate_on(gy, 0.0, t, q) + integrate_on(gy, t, 1.0, q) + nonlocal_term
-    return DiscreteFunction(ts, out)
+    # Gy at the evaluation points and at the rule's nodes, from the rule
+    # mapped onto [0, t] and [t, 1]: lo and width have shape (T, 2, 1)
+    t = np.concatenate([ts, q.nodes])[:, None, None]
+    lo = np.concatenate([np.zeros_like(t), t], axis=1)
+    width = np.concatenate([t, 1.0 - t], axis=1)
+    s = lo + width * q.nodes
+    gy = green(t, s) * _sample(y, s.ravel()).reshape(s.shape)
+    if not np.all(np.isfinite(gy)):
+        raise DomainError("integrand is not finite at a quadrature node")
+    green_part = np.sum(width[:, :, 0] * (gy @ q.weights), axis=1)
+    nonlocal_term = np.dot(_sample(a, q.nodes) * q.weights, green_part[len(ts):]) / (1.0 - alpha)
+    return DiscreteFunction(ts, green_part[:len(ts)] + nonlocal_term)
 
 
 @dataclass

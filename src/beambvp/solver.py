@@ -13,20 +13,20 @@ Second Kind, 1997, sec. 4.2). The natural interpolant
 u_I(t) = sum_j [G(t, s_j) + W(s_j)] w_j f(u_j) is fed to the operator
 discretized by the same rule with twice the panels, A'; the defect
 max |A'[u_I] - u_I| at the refined nodes estimates the distance to the
-true solution in solution units.
+true solution in solution units. The interpolant and the refined sum are
+one routine, _green_sum, on two rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .analysis import Problem
-from .errors import DomainError, InvalidConfig, SingularJacobian
-from .kernel import green, kernel_weight
-from .quadrature import Quadrature, integrate, make_quadrature
+from .analysis import Problem, _check_alpha
+from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
+from .kernel import green
+from .quadrature import Quadrature, make_quadrature
 
 OVERFLOW_GUARD = 1e12
 POSITIVITY_TOL = 1e-6
@@ -48,12 +48,6 @@ class DiscreteFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-
-    def min_on(self, lo: float, hi: float) -> float:
-        mask = (self.nodes >= lo) & (self.nodes <= hi)
-        if not np.any(mask):
-            raise InvalidConfig(f"no nodes inside [{lo}, {hi}]")
-        return float(np.min(self.values[mask]))
 
 
 @dataclass
@@ -83,17 +77,18 @@ class SolveReport:
     error_estimate: float = np.nan
 
 
-def build_operator(problem: Problem, quad: Optional[Quadrature] = None) -> NystromOperator:
+def build_operator(problem: Problem) -> NystromOperator:
     """Assemble the collocation matrix on the problem's quadrature.
 
-    The weight column W(s_j) is computed once per node; alpha is taken
-    from the same rule so the discrete operator inherits the continuous
-    positivity structure exactly.
+    The weight column W(s_j) = sum_i a(s_i) w_i G(s_i, s_j) / (1 - alpha)
+    comes from the same Green's matrix and the same rule as alpha, so the
+    discrete operator inherits the continuous positivity structure exactly.
     """
-    q = quad if quad is not None else problem.quad
-    alpha = integrate(problem.a, q)
-    w_col = np.atleast_1d(kernel_weight(q.nodes, problem.a, alpha, q))
-    kmat = (green(q.nodes[:, None], q.nodes[None, :]) + w_col[None, :]) * q.weights[None, :]
+    q = problem.quad
+    gmat = green(q.nodes[:, None], q.nodes[None, :])
+    alpha = _check_alpha(problem.cone.alpha)
+    w_col = (np.asarray(problem.a(q.nodes)) * q.weights) @ gmat / (1.0 - alpha)
+    kmat = (gmat + w_col[None, :]) * q.weights[None, :]
     return NystromOperator(q, kmat, problem)
 
 
@@ -193,16 +188,14 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
 
 def solve_auto(problem: Problem, method: str = "auto",
                starts=(0.1, 1.0, 10.0, 100.0), omega: float = 0.8,
-               tol: float = 1e-10, max_iter: int = 500,
-               positivity_tol: float = POSITIVITY_TOL) -> SolveReport:
+               tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
     """Multi-start search for a nontrivial positive fixed point.
 
     Runs Picard from each constant start and falls back to Newton when
     Picard stalls, diverges, or lands on the trivial solution. Returns
-    the first converged report with ||u|| above the positivity threshold;
-    if only the trivial fixed point is found it is returned flagged
-    not-positive. Failure is reported, never raised. Only the returned
-    report gets an error_estimate.
+    the first converged positive report (see _finish_report); otherwise
+    the first converged one, flagged not-positive. Failure is reported,
+    never raised. Only the returned report gets an error_estimate.
     """
     if method not in ("auto", "picard", "newton"):
         raise InvalidConfig(f"unknown method {method!r}")
@@ -233,7 +226,7 @@ def solve_auto(problem: Problem, method: str = "auto",
 
     tried = []
     for report in attempts():
-        if report.converged and report.solution.sup_norm() >= positivity_tol:
+        if report.converged and report.positive:
             break
         tried.append(report)
     else:
@@ -255,21 +248,29 @@ def _fd_derivative(f, u):
 
 
 def _finish_report(op, sol, converged, iterations, fp, method, diverged):
-    problem = op.problem
+    """A solution is positive when it is nontrivial (sup >= POSITIVITY_TOL),
+    nonnegative up to POSITIVITY_TOL * max(1, sup), and in the cone."""
     sup = sol.sup_norm()
-    positive = sup >= POSITIVITY_TOL
+    in_cone = cone_gap(sol, op.problem) >= -CONE_SLACK
+    nonnegative = float(np.min(sol.values)) >= -POSITIVITY_TOL * max(1.0, sup)
+    positive = sup >= POSITIVITY_TOL and nonnegative and in_cone
+    return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
+                       positive, diverged)
+
+
+def cone_gap(u: DiscreteFunction, problem: Problem) -> float:
+    """min of u on the strip [theta, 1-theta] minus gamma sup|u|; the cone
+    holds u when this is nonnegative. A strip without nodes is sampled on the
+    natural interpolant, which reproduces u only at a fixed point."""
     theta = problem.theta
-    inside = (sol.nodes >= theta) & (sol.nodes <= 1.0 - theta)
+    inside = (u.nodes >= theta) & (u.nodes <= 1.0 - theta)
     if np.any(inside):
-        strip_min = float(np.min(sol.values[inside]))
+        strip_min = float(np.min(u.values[inside]))
     else:
         # a strip this narrow holds no collocation node; sample the
         # interpolant instead
-        strip_min = float(np.min(interpolate(sol, problem,
-                                             np.linspace(theta, 1.0 - theta, 9))))
-    in_cone = strip_min >= problem.cone.gamma * sup - CONE_SLACK
-    return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
-                       positive, diverged)
+        strip_min = float(np.min(interpolate(u, problem, np.linspace(theta, 1.0 - theta, 9))))
+    return strip_min - problem.cone.gamma * u.sup_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +290,37 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
         raise InvalidConfig("grid function does not live on the problem's nodes")
     fine = make_quadrature(q.rule, 2 * q.panels, q.points_per_panel)
     u_fine = interpolate(u, problem, fine.nodes)
-    return float(np.max(np.abs(_refined_apply(problem, fine, problem.f(u_fine)) - u_fine)))
-
-
-def _refined_apply(problem: Problem, fine: Quadrature, g) -> np.ndarray:
-    """(K g) at the nodes of `fine`, K the dense collocation matrix that
-    build_operator(problem, fine) would assemble, in O(M) work.
-
-    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6 and sorted nodes, the sum
-    over s_k <= t expands into cumulative moments of s^p w g, p = 0..3;
-    the nonlocal part collapses into one constant, the a-weighted integral
-    of the Green's part.
-    """
-    s, wg = fine.nodes, fine.weights * g
-    m0, m1, m2, m3 = (np.cumsum(wg * s**p) for p in range(4))
-    hump = s**3 * m0 - 3.0 * s**2 * m1 + 3.0 * s * m2 - m3
-    green_part = (s**3 * np.dot(wg, (1.0 - s) ** 2) - hump) / 6.0
-    alpha = integrate(problem.a, fine)
-    return green_part + np.dot(problem.a(s) * fine.weights, green_part) / (1.0 - alpha)
+    return float(np.max(np.abs(_green_sum(problem, fine, problem.f(u_fine), fine.nodes) - u_fine)))
 
 
 def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
     """Natural interpolation u(t) = sum_j [G(t, s_j) + W(s_j)] w_j f(u_j).
 
-    The nonlocal part of the kernel does not depend on t, so it collapses
-    into one constant equal to the interpolant's value at t = 0.
+    Raises OutOfDomain for t outside [0, 1].
     """
-    q = problem.quad
-    coeff = q.weights * problem.f(u.values)
-    const = np.dot(kernel_weight(q.nodes, problem.a, problem.cone.alpha, q), coeff)
+    return _green_sum(problem, problem.quad, problem.f(u.values), ts)
+
+
+def _green_sum(problem: Problem, q: Quadrature, g, ts) -> np.ndarray:
+    """sum_j [G(t, s_j) + W(s_j)] w_j g_j at ts on the rule q, in O((N + T) log N).
+
+    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6 and the rule's sorted
+    nodes, the sum over s_j <= t expands into prefix sums of the moments
+    s^p w g, p = 0..3; searchsorted finds each prefix. Since G(0, s) = 0
+    the nonlocal part is one constant: the a-weighted sum of the Green's
+    part over the rule's own nodes, divided by 1 - alpha.
+    """
     ts = np.asarray(ts, dtype=float)
-    return np.reshape(green(ts.reshape(-1, 1), q.nodes[None, :]) @ coeff + const, ts.shape)
+    if np.any(ts < 0) or np.any(ts > 1):
+        raise OutOfDomain("interpolation points must lie in [0, 1]")
+    s, wg = q.nodes, q.weights * g
+    m0, m1, m2, m3 = (np.concatenate(([0.0], np.cumsum(wg * s**p))) for p in range(4))
+    # the Green's part at the evaluation points, then at the nodes
+    t = np.concatenate([ts.ravel(), s])
+    k = np.searchsorted(s, t, side="right")
+    hump = t**3 * m0[k] - 3.0 * t**2 * m1[k] + 3.0 * t * m2[k] - m3[k]
+    green_part = (t**3 * np.dot(wg, (1.0 - s) ** 2) - hump) / 6.0
+    avals = np.asarray(problem.a(s))
+    alpha = _check_alpha(float(np.dot(q.weights, avals)))
+    const = np.dot(avals * q.weights, green_part[ts.size:]) / (1.0 - alpha)
+    return np.reshape(green_part[:ts.size] + const, ts.shape)

@@ -18,8 +18,8 @@ from .errors import InvalidConfig
 from .expressions import parse
 from .kernel import green, lower_envelope, strip_lower_bound, upper_envelope
 from .oracle import fd_solve_linear, formula_solve_linear
-from .quadrature import default_quadrature, integrate, integrate_on
-from .solver import apply, build_operator, interpolate, DiscreteFunction
+from .quadrature import default_quadrature, integrate
+from .solver import apply, build_operator, cone_gap, DiscreteFunction
 
 # Calibrated once against the second-order scheme: worst observed
 # sup-error / h^2 was 0.675 over 5 seeds x {t, t^2, 1/2} x 20 polynomial
@@ -128,31 +128,21 @@ def _cone_checks(theta, rng):
     strip = (eval_nodes >= theta - 1e-12) & (eval_nodes <= 1.0 - theta + 1e-12)
     worst_solution = np.inf
     for a_text in ("t", "t^2"):
-        a = parse(a_text, "t")
-        alpha = integrate(a, q)
-        floor = theta**3 * (1.0 - alpha + integrate_on(a, theta, 1.0 - theta, q))
+        linear = make_problem("0*u", a_text, theta, q)
         for _ in range(10):
             coeffs = rng.uniform(0.0, 2.0, 4)
             y = lambda s: coeffs[0] + coeffs[1] * s + coeffs[2] * s**2 + coeffs[3] * s**3
-            u = formula_solve_linear(y, a, q, eval_nodes)
-            gap = float(np.min(u.values[strip]) - floor * np.max(np.abs(u.values)))
+            u = formula_solve_linear(y, linear.a, q, eval_nodes)
+            gap = float(np.min(u.values[strip]) - linear.cone.gamma * np.max(np.abs(u.values)))
             worst_solution = min(worst_solution, gap)
     results = [_floor("solution_cone_floor", worst_solution, -1e-10)]
 
     problem = make_problem("u^2*(exp(-u)+1)", "t^2", theta, q)
     op = build_operator(problem)
-    inside = (q.nodes >= theta) & (q.nodes <= 1.0 - theta)
-    strip_probe = np.linspace(theta, 1.0 - theta, 9)
     worst_op = np.inf
     for _ in range(20):
         u = DiscreteFunction(q.nodes.copy(), rng.uniform(0.0, 5.0, q.npoints))
-        v = apply(op, u)
-        if np.any(inside):
-            strip_min = float(np.min(v.values[inside]))
-        else:
-            strip_min = float(np.min(interpolate(v, problem, strip_probe)))
-        gap = strip_min - problem.cone.gamma * float(np.max(v.values))
-        worst_op = min(worst_op, gap)
+        worst_op = min(worst_op, cone_gap(apply(op, u), problem))
     results.append(_floor("operator_cone_floor", worst_op, -1e-10))
     return results
 

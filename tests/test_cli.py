@@ -44,8 +44,18 @@ def test_config_validation():
 @pytest.mark.parametrize("line", ["tol = nan", "starts = 1.0, nan"])
 def test_config_rejects_non_finite_values(tmp_path, line):
     path = tmp_path / "bad.ini"
-    path.write_text(f"[problem]\nf = \"{F_SUB}\"\na = \"t\"\n[solver]\n{line}\n")
+    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[solver]\n{line}\n")
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("section, line", [
+    ("solver", "tol = abc"), ("quadrature", "panels = 2.5"), ("solver", "starts = 0.1, ten")])
+def test_config_rejects_non_numbers(tmp_path, capsys, section, line):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[{section}]\n{line}\n")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    key, value = line.split(" = ")
+    assert capsys.readouterr().err == f"error: number expected for {key}, got {value!r}\n"
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -72,6 +82,15 @@ def test_solve_superlinear_exits_zero(tmp_path):
 def test_solve_zero_map_exits_trivial(tmp_path):
     code = main(["solve", "--f", "0*u", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_TRIVIAL
+
+
+def test_solve_negative_fixed_point_is_not_positive(tmp_path, capsys):
+    # Newton from 10 and 100 converges to a fixed point with u in
+    # [-1.65, -0.37], outside the cone; the other attempts are trivial
+    code = main(["solve", "--f", "50*u^2/(1+u)", "--a", "t^2", "--out", str(tmp_path)])
+    assert code == EXIT_TRIVIAL
+    assert "positive solution" not in capsys.readouterr().out
+    assert json.loads((tmp_path / "report.json").read_text())["positive"] is False
 
 
 def test_solve_inadmissible_weight_exits_hypothesis(tmp_path):

@@ -33,6 +33,9 @@ def test_formula_uniform_load_closed_form():
     ts = np.linspace(0.0, 1.0, 101)
     u = formula_solve_linear(one, A_ZERO, q, ts)
     assert np.max(np.abs(u.values - uniform_load_deflection(ts))) <= 1e-10
+    # with a = t the nonlocal constant is 2 integral t (t^3/18 - t^4/24) dt = 1/120
+    u = formula_solve_linear(one, A_LIN, q, ts)
+    assert np.max(np.abs(u.values - uniform_load_deflection(ts) - 1.0 / 120.0)) <= 1e-12
 
 
 def test_fd_zero_forcing():

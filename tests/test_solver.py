@@ -3,20 +3,22 @@ import pytest
 
 from beambvp import solver
 from beambvp.analysis import make_problem
-from beambvp.errors import DomainError, InvalidConfig
+from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, OutOfDomain
+from beambvp.kernel import green, kernel_weight
 from beambvp.oracle import fd_solve_nonlinear
 from beambvp.quadrature import make_quadrature
 from beambvp.solver import (
     DiscreteFunction,
     apply,
     build_operator,
+    cone_gap,
     constant_start,
     interpolate,
     newton,
     picard,
     residuals,
     solve_auto,
-    _refined_apply,
+    _green_sum,
 )
 
 F_SUPER = "u^2*(exp(-u)+1)"
@@ -55,7 +57,6 @@ def test_operator_matrix_shape_and_sign(super_problem):
 
 
 def test_operator_zero_weight_reduces_to_green():
-    from beambvp.kernel import green
     p = make_problem("u", "0*t", 0.25)
     op = build_operator(p)
     q = op.quad
@@ -209,14 +210,11 @@ def test_solve_auto_zero_map_reports_trivial():
 
 def test_operator_cone_preservation(super_problem):
     op = build_operator(super_problem)
-    gamma = super_problem.cone.gamma
-    theta = super_problem.theta
     rng = np.random.default_rng(20240901)
     for _ in range(50):
         u = DiscreteFunction(op.quad.nodes.copy(),
                              rng.uniform(0.0, 5.0, op.quad.npoints))
-        v = apply(op, u)
-        assert v.min_on(theta, 1 - theta) >= gamma * np.max(v.values) - 1e-10
+        assert cone_gap(apply(op, u), super_problem) >= -1e-10
 
 
 def test_solve_auto_survives_overflowing_starts():
@@ -236,17 +234,13 @@ def test_solve_auto_end_to_end_on_simpson_rule():
 
 
 def test_solve_auto_narrow_strip():
-    # at theta = 0.49 the default rule has no collocation node inside the
+    # at theta = 0.495 the default rule has no collocation node inside the
     # strip; the cone check falls back to the interpolant
-    p = make_problem(F_SUB, "t", 0.49)
+    p = make_problem(F_SUB, "t", 0.495)
+    nodes = p.quad.nodes
+    assert not np.any((nodes >= p.theta) & (nodes <= 1.0 - p.theta))
     report = solve_auto(p)
-    assert report.converged and report.in_cone
-
-
-def test_min_on_empty_strip_raises():
-    u = DiscreteFunction(np.array([0.1, 0.9]), np.array([1.0, 1.0]))
-    with pytest.raises(InvalidConfig):
-        u.min_on(0.4, 0.6)
+    assert report.converged and report.in_cone and report.positive
 
 
 def test_residuals_zero_solution():
@@ -295,9 +289,51 @@ def test_residuals_flag_coarse_superlinear_grids(rule, panels, points):
 def test_refined_sum_matches_dense_operator(super_problem, rule, panels, points):
     fine = make_quadrature(rule, panels, points)
     g = np.random.default_rng(5).uniform(0.0, 100.0, fine.npoints)
-    dense = build_operator(super_problem, fine).kmatrix @ g
-    fast = _refined_apply(super_problem, fine, g)
+    dense = build_operator(make_problem(F_SUPER, "t^2", 0.25, fine)).kmatrix @ g
+    fast = _green_sum(super_problem, fine, g, fine.nodes)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _dense_kernel(p, ts):
+    """G(t, s_j) + W(s_j) on the problem's nodes, W from kernel_weight."""
+    q = p.quad
+    return green(ts[:, None], q.nodes[None, :]) + kernel_weight(q.nodes, p.a, p.cone.alpha, q)
+
+
+QUADS = [("gauss-legendre", 8, 4), ("simpson", 8, 5)]
+
+
+@pytest.mark.parametrize("rule, panels, points", QUADS)
+def test_interpolate_matches_dense_kernel_sum(rule, panels, points):
+    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(rule, panels, points))
+    q = p.quad
+    u = DiscreteFunction(q.nodes.copy(), np.random.default_rng(7).uniform(0.0, 5.0, q.npoints))
+    ts = np.random.default_rng(8).permutation(
+        np.concatenate([[0.0, 1.0], q.nodes, np.random.default_rng(9).uniform(0, 1, 50)]))
+    dense = _dense_kernel(p, ts) @ (q.weights * p.f(u.values))
+    fast = interpolate(u, p, ts)
+    assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_interpolate_rejects_points_off_the_interval(super_problem):
+    u = constant_start(build_operator(super_problem), 1.0)
+    for t in (-0.1, 1.1):
+        with pytest.raises(OutOfDomain):
+            interpolate(u, super_problem, np.array([0.5, t]))
+
+
+@pytest.mark.parametrize("rule, panels, points", QUADS)
+def test_operator_matches_dense_kernel_weight(rule, panels, points):
+    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(rule, panels, points))
+    q = p.quad
+    expected = _dense_kernel(p, q.nodes) * q.weights[None, :]
+    assert np.array_equal(build_operator(p).kmatrix, expected)
+
+
+def test_solve_auto_rejects_alpha_at_one():
+    # the default rule integrates 2t to 1 - 1.1e-16, a hair inside (0, 1)
+    with pytest.raises(HypothesisViolation):
+        solve_auto(make_problem("u^2", "2*t"))
 
 
 def test_solve_auto_estimates_only_the_returned_report(super_problem, monkeypatch):
