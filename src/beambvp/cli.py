@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import certificate, make_problem, validate_hypotheses
 from .config import RunConfig
-from .errors import BeamBVPError, InvalidConfig
+from .errors import BeamBVPError, HypothesisViolation, InvalidConfig
 from .expressions import parse
 from .kernel import green, kernel_weight, lower_envelope, upper_envelope
 from .quadrature import integrate, make_quadrature
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         return cmd_green(cfg, args.grid_m)
     except BeamBVPError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_HYPOTHESIS if isinstance(exc, HypothesisViolation) else EXIT_USAGE
 
 
 def entry() -> None:
@@ -95,31 +95,29 @@ def _outdir(cfg) -> Path:
     return path
 
 
-def _problem(cfg, need_f=True):
-    if need_f and not cfg.f_text:
-        raise InvalidConfig("an f(u) expression is required (--f or config)")
-    if not cfg.a_text:
-        raise InvalidConfig("an a(t) expression is required (--a or config)")
+def _problem(cfg, artifact):
+    """The run's problem. When it violates the hypotheses, each violation is
+    printed and recorded in the JSON artifact, and HypothesisViolation raised."""
+    if not (cfg.f_text and cfg.a_text):
+        raise InvalidConfig("f(u) and a(t) expressions are required (--f, --a or config)")
     quad = make_quadrature(cfg.rule, cfg.panels, cfg.points)
-    return make_problem(cfg.f_text if need_f else "0*u", cfg.a_text, cfg.theta, quad)
+    problem = make_problem(cfg.f_text, cfg.a_text, cfg.theta, quad)
+    validation = validate_hypotheses(problem)
+    if validation.ok:
+        return problem
+    payload = {**_base_payload(cfg, problem), "hypotheses_ok": False,
+               "violations": [v.message for v in validation.violations]}
+    if cfg.write_json:
+        _write_json(_outdir(cfg) / artifact, payload)
+    for violation in validation.violations:
+        print(f"hypothesis violation: {violation.message}")
+    raise HypothesisViolation("f or a violates the hypotheses of the existence theorem")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    problem = _problem(cfg)
+    problem = _problem(cfg, "report.json")
     out = _outdir(cfg)
-    validation = validate_hypotheses(problem)
-    if not validation.ok:
-        payload = _base_payload(cfg, problem)
-        payload["hypotheses_ok"] = False
-        payload["violations"] = [v.message for v in validation.violations]
-        if cfg.write_json:
-            _write_json(out / "report.json", payload)
-        for violation in validation.violations:
-            print(f"hypothesis violation: {violation.message}")
-        return EXIT_HYPOTHESIS
-
-    report = solve_auto(problem, method=cfg.method, starts=cfg.starts,
-                        omega=cfg.omega, tol=cfg.tol, max_iter=cfg.max_iter)
+    report = solve_auto(problem, tol=cfg.tol, max_iter=cfg.max_iter)
     payload = _base_payload(cfg, problem)
     payload.update({
         "hypotheses_ok": True,
@@ -151,7 +149,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    problem = _problem(cfg)
+    problem = _problem(cfg, "classify.json")
     cert = certificate(problem)
     payload = _base_payload(cfg, problem)
     payload.update({

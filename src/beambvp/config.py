@@ -18,7 +18,7 @@ from .quadrature import GAUSS_LEGENDRE
 _SECTIONS = {
     "problem": ("f_text", "a_text", "theta"),
     "quadrature": ("rule", "panels", "points"),
-    "solver": ("method", "omega", "tol", "max_iter", "starts"),
+    "solver": ("tol", "max_iter"),
     "output": ("out_dir", "write_json", "write_csv", "seed"),
 }
 
@@ -31,11 +31,8 @@ class RunConfig:
     rule: str = GAUSS_LEGENDRE
     panels: int = 8
     points: int = 4
-    method: str = "auto"
-    omega: float = 0.8
     tol: float = 1e-10
     max_iter: int = 500
-    starts: tuple = (0.1, 1.0, 10.0, 100.0)
     out_dir: str = "."
     write_json: bool = True
     write_csv: bool = True
@@ -46,16 +43,8 @@ class RunConfig:
             raise InvalidConfig(f"theta must lie in (0, 1/2), got {self.theta}")
         if not 0.0 < self.tol < math.inf:
             raise InvalidConfig("tol must be positive and finite")
-        if not 0.0 < self.omega <= 1.0:
-            raise InvalidConfig("omega must lie in (0, 1]")
         if self.max_iter < 1 or self.panels < 1 or self.points < 1:
             raise InvalidConfig("max_iter, panels and points must be positive")
-        if self.method not in ("auto", "picard", "newton"):
-            raise InvalidConfig(f"unknown solver method {self.method!r}")
-        if not self.starts:
-            raise InvalidConfig("at least one start value is required")
-        if not all(math.isfinite(c) for c in self.starts):
-            raise InvalidConfig("start values must be finite")
         return self
 
     def to_file(self, path) -> None:
@@ -92,8 +81,6 @@ class RunConfig:
 def _format(name, value):
     if name in ("f_text", "a_text"):
         return f'"{value}"'
-    if name == "starts":
-        return ", ".join(repr(v) for v in value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -108,12 +95,10 @@ def _parse(name, raw):
             return raw[1:-1]
         return raw
     try:
-        if name in ("theta", "omega", "tol"):
+        if name in ("theta", "tol"):
             return float(raw)
         if name in ("panels", "points", "max_iter", "seed"):
             return int(raw)
-        if name == "starts":
-            return tuple(float(part) for part in raw.split(",") if part.strip())
     except ValueError:
         raise InvalidConfig(f"number expected for {name}, got {raw!r}") from None
     if name in ("write_json", "write_csv"):

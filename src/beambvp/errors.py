@@ -32,7 +32,7 @@ class OutOfDomain(BeamBVPError):
 
 
 class HypothesisViolation(BeamBVPError):
-    """The weight function fails 0 < integral a < 1."""
+    """f or a fails a hypothesis of the existence theorem, such as 0 < integral a < 1."""
 
 
 class SingularJacobian(BeamBVPError):

@@ -5,7 +5,7 @@ The operator  (Au)(t) = integral_0^1 [G(t,s) + W(s)] f(u(s)) ds  is
 discretized by replacing the integral with the quadrature rule and
 collocating at its nodes (Nystrom). Positive fixed points of the
 resulting finite map are located by damped Picard iteration and by a
-damped Newton method, with multi-start orchestration in solve_auto.
+damped Newton method, whose starts solve_auto reads off the operator.
 
 Each solve ends with one a-posteriori error estimate of the returned
 solution (Atkinson, The Numerical Solution of Integral Equations of the
@@ -31,6 +31,9 @@ from .quadrature import Quadrature, make_quadrature
 OVERFLOW_GUARD = 1e12
 POSITIVITY_TOL = 1e-6
 CONE_SLACK = 1e-10
+# Picard's start and damping: where it stops within tol sets a solution's last digits
+PICARD_START = 0.1
+PICARD_OMEGA = 0.8
 
 
 @dataclass
@@ -186,43 +189,28 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
     return _finish_report(op, sol, converged, iterations, fp, "newton", diverged)
 
 
-def solve_auto(problem: Problem, method: str = "auto",
-               starts=(0.1, 1.0, 10.0, 100.0), omega: float = 0.8,
-               tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
-    """Multi-start search for a nontrivial positive fixed point.
+def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
+    """Search for a nontrivial positive fixed point.
 
-    Runs Picard from each constant start and falls back to Newton when
-    Picard stalls, diverges, or lands on the trivial solution. Returns
-    the first converged positive report (see _finish_report); otherwise
-    the first converged one, flagged not-positive. Failure is reported,
-    never raised. Only the returned report gets an error_estimate.
+    Runs damped Picard once from the constant PICARD_START, then Newton
+    from each start that _cone_starts reads off the operator. Returns the
+    first converged positive report (see _finish_report); otherwise the
+    first converged one, flagged not-positive. Failure is reported, never
+    raised. Only the returned report gets an error_estimate.
     """
-    if method not in ("auto", "picard", "newton"):
-        raise InvalidConfig(f"unknown method {method!r}")
     op = build_operator(problem)
 
-    def attempt(run, *args, **kwargs):
+    def attempt(run, u0, **kwargs):
         # a start that drives f out of its domain is a failed attempt,
         # not an exception; existence says nothing about iterability
         try:
-            return run(op, *args, **kwargs)
+            return run(op, u0, tol=tol, max_iter=max_iter, **kwargs)
         except DomainError:
-            return SolveReport(args[0], op, False, 0, np.inf, False, run.__name__,
-                               False, True)
+            return SolveReport(u0, op, False, 0, np.inf, False, run.__name__, False, True)
 
     def attempts():
-        for c in starts:
-            u0 = constant_start(op, c)
-            picard_final = None
-            if method in ("auto", "picard"):
-                report = attempt(picard, u0, omega=omega, tol=tol, max_iter=max_iter)
-                yield report
-                picard_final = report.solution
-            if method in ("auto", "newton"):
-                yield attempt(newton, u0, tol=tol, max_iter=max_iter)
-                if (method == "auto" and picard_final is not None
-                        and 0.0 < picard_final.sup_norm() < OVERFLOW_GUARD):
-                    yield attempt(newton, picard_final, tol=tol, max_iter=max_iter)
+        yield attempt(picard, constant_start(op, PICARD_START), omega=PICARD_OMEGA)
+        yield from (attempt(newton, u0) for u0 in _cone_starts(op))
 
     tried = []
     for report in attempts():
@@ -238,6 +226,34 @@ def solve_auto(problem: Problem, method: str = "auto",
     return report
 
 
+def _cone_starts(op: NystromOperator) -> list:
+    """Newton starts c v, v = K1 / max K1 (the response to a uniform load, in the cone).
+
+    A fixed point lies between a radius where A compresses and one where it
+    expands (Krasnosel'skii; Guo & Lakshmikantham, Nonlinear Problems in
+    Abstract Cones, 1988). log rho(c) = log(max A(c v) / c) is scanned on
+    c = 10^k, k = -8 .. 8, up to the first c where f fails. Each sign change
+    gives a start at its log-linear root (Newton's basin spans about a factor
+    2 in c); without one, the start is the c of least |log rho|.
+    """
+    kmat, f = op.kmatrix, op.problem.f
+    v = kmat.sum(axis=1)
+    v = v / np.max(v)
+    decades, logs = range(-8, 9), []
+    for k in decades:
+        try:
+            rho = float(np.max(kmat @ f(10.0**k * v))) / 10.0**k
+        except DomainError:
+            break
+        # rho = 0, where f vanishes on the ray, is the strongest compression
+        logs.append(np.log(max(rho, np.finfo(float).tiny)))
+    roots = [k + lo / (lo - hi) for k, lo, hi in zip(decades, logs, logs[1:])
+             if (lo < 0.0) != (hi < 0.0)]
+    if not roots and logs:
+        roots = [decades[int(np.argmin(np.abs(logs)))]]
+    return [DiscreteFunction(op.quad.nodes.copy(), 10.0**r * v) for r in roots]
+
+
 def _fd_derivative(f, u):
     """Central-difference f'(u) with magnitude-scaled step."""
     h = np.maximum(1e-6, 1e-6 * np.abs(u))
@@ -251,26 +267,26 @@ def _finish_report(op, sol, converged, iterations, fp, method, diverged):
     """A solution is positive when it is nontrivial (sup >= POSITIVITY_TOL),
     nonnegative up to POSITIVITY_TOL * max(1, sup), and in the cone."""
     sup = sol.sup_norm()
-    in_cone = cone_gap(sol, op.problem) >= -CONE_SLACK
+    in_cone = cone_gap(sol, op.problem, sol) >= -CONE_SLACK
     nonnegative = float(np.min(sol.values)) >= -POSITIVITY_TOL * max(1.0, sup)
     positive = sup >= POSITIVITY_TOL and nonnegative and in_cone
     return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
                        positive, diverged)
 
 
-def cone_gap(u: DiscreteFunction, problem: Problem) -> float:
-    """min of u on the strip [theta, 1-theta] minus gamma sup|u|; the cone
-    holds u when this is nonnegative. A strip without nodes is sampled on the
-    natural interpolant, which reproduces u only at a fixed point."""
+def cone_gap(v: DiscreteFunction, problem: Problem, u: DiscreteFunction) -> float:
+    """min of v = Au on the strip [theta, 1-theta] minus gamma sup|v|; the cone
+    holds v when this is nonnegative. A strip without nodes is sampled on u's
+    natural interpolant, which extends Au off the nodes (u = v at a fixed point)."""
     theta = problem.theta
-    inside = (u.nodes >= theta) & (u.nodes <= 1.0 - theta)
+    inside = (v.nodes >= theta) & (v.nodes <= 1.0 - theta)
     if np.any(inside):
-        strip_min = float(np.min(u.values[inside]))
+        strip_min = float(np.min(v.values[inside]))
     else:
         # a strip this narrow holds no collocation node; sample the
-        # interpolant instead
+        # extension instead
         strip_min = float(np.min(interpolate(u, problem, np.linspace(theta, 1.0 - theta, 9))))
-    return strip_min - problem.cone.gamma * u.sup_norm()
+    return strip_min - problem.cone.gamma * v.sup_norm()
 
 
 # ---------------------------------------------------------------------------

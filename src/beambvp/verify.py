@@ -142,7 +142,7 @@ def _cone_checks(theta, rng):
     worst_op = np.inf
     for _ in range(20):
         u = DiscreteFunction(q.nodes.copy(), rng.uniform(0.0, 5.0, q.npoints))
-        worst_op = min(worst_op, cone_gap(apply(op, u), problem))
+        worst_op = min(worst_op, cone_gap(apply(op, u), problem, u))
     results.append(_floor("operator_cone_floor", worst_op, -1e-10))
     return results
 

@@ -150,7 +150,7 @@ def test_criterion_4_operator_cone_preservation():
     for _ in range(50):
         u = DiscreteFunction(op.quad.nodes.copy(),
                              rng.uniform(0.0, 5.0, op.quad.npoints))
-        worst = min(worst, cone_gap(apply(op, u), problem))
+        worst = min(worst, cone_gap(apply(op, u), problem, u))
     ok = worst >= -1e-10
     _report("criterion 4 (operator cone preservation)", ok,
             f"worst margin {worst:.3e} over 50 grid functions")

@@ -20,8 +20,7 @@ F_SUB = "sqrt(1+u)+sin(u)"
 
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(f_text=F_SUPER, a_text="t^2", theta=0.3, rule="composite-simpson",
-                    panels=5, points=5, method="picard", omega=0.9, tol=1e-8,
-                    max_iter=321, starts=(0.5, 2.0),
+                    panels=5, points=5, tol=1e-8, max_iter=321,
                     out_dir="somewhere", write_json=False, write_csv=True, seed=99)
     path = tmp_path / "run.ini"
     cfg.to_file(path)
@@ -34,14 +33,10 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         RunConfig(tol=-1.0).validate()
     with pytest.raises(InvalidConfig):
-        RunConfig(omega=0.0).validate()
-    with pytest.raises(InvalidConfig):
-        RunConfig(method="bisect").validate()
-    with pytest.raises(InvalidConfig):
-        RunConfig(starts=()).validate()
+        RunConfig(max_iter=0).validate()
 
 
-@pytest.mark.parametrize("line", ["tol = nan", "starts = 1.0, nan"])
+@pytest.mark.parametrize("line", ["tol = nan"])
 def test_config_rejects_non_finite_values(tmp_path, line):
     path = tmp_path / "bad.ini"
     path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[solver]\n{line}\n")
@@ -49,7 +44,7 @@ def test_config_rejects_non_finite_values(tmp_path, line):
 
 
 @pytest.mark.parametrize("section, line", [
-    ("solver", "tol = abc"), ("quadrature", "panels = 2.5"), ("solver", "starts = 0.1, ten")])
+    ("solver", "tol = abc"), ("quadrature", "panels = 2.5")])
 def test_config_rejects_non_numbers(tmp_path, capsys, section, line):
     path = tmp_path / "bad.ini"
     path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[{section}]\n{line}\n")
@@ -63,6 +58,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("[problem]\nmystery = 1\n")
     with pytest.raises(InvalidConfig):
         RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize("line", ["method = newton", "omega = 0.9", "starts = 1.0, 10.0"])
+def test_config_rejects_retired_solver_keys(tmp_path, capsys, line):
+    # solve_auto derives its starts from the operator; nothing is left to set
+    path = tmp_path / "old.ini"
+    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[solver]\n{line}\n")
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in [solver]\n"
 
 
 def test_solve_superlinear_exits_zero(tmp_path):
@@ -79,14 +84,24 @@ def test_solve_superlinear_exits_zero(tmp_path):
     assert len(lines) == 33
 
 
+def test_solve_finds_a_solution_far_out_on_the_cone(tmp_path):
+    # u^1.5 is superlinear and its solution has sup ~1.5e4, far beyond any
+    # fixed ladder of constant starts
+    code = main(["solve", "--f", "u^1.5", "--a", "t", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["positive"] and report["method"] == "newton"
+    assert report["sup_norm"] == pytest.approx(1.53e4, rel=1e-2)
+
+
 def test_solve_zero_map_exits_trivial(tmp_path):
     code = main(["solve", "--f", "0*u", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_TRIVIAL
 
 
 def test_solve_negative_fixed_point_is_not_positive(tmp_path, capsys):
-    # Newton from 10 and 100 converges to a fixed point with u in
-    # [-1.65, -0.37], outside the cone; the other attempts are trivial
+    # Newton converges to a fixed point with u in [-2.06, -0.48], outside
+    # the cone; Picard's is trivial
     code = main(["solve", "--f", "50*u^2/(1+u)", "--a", "t^2", "--out", str(tmp_path)])
     assert code == EXIT_TRIVIAL
     assert "positive solution" not in capsys.readouterr().out
@@ -121,6 +136,14 @@ def test_classify_examples(tmp_path):
     payload2 = json.loads((out2 / "classify.json").read_text())
     assert payload2["classification"] == "sublinear"
     assert payload2["epsilon_max"] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("f, a", [("1/u", "t"), ("u^2", "2*t")])
+def test_classify_checks_hypotheses(tmp_path, capsys, f, a):
+    # 1/u is not finite at 0; 2t integrates to alpha = 1
+    assert main(["classify", "--f", f, "--a", a, "--out", str(tmp_path)]) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().out.startswith("hypothesis violation: ")
+    assert json.loads((tmp_path / "classify.json").read_text())["hypotheses_ok"] is False
 
 
 def test_classify_linear_indeterminate(tmp_path):
@@ -180,6 +203,11 @@ def test_green_small_table(tmp_path):
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     corners = rows[(rows[:, 0] == 0.0) | (rows[:, 1] == 1.0)]
     assert np.all(corners[:, 2] == 0.0)
+
+
+def test_green_inadmissible_weight_exits_hypothesis(tmp_path):
+    assert main(["green", "--a", "2*t", "--out", str(tmp_path), "--grid-m", "3"]) == EXIT_HYPOTHESIS
+    assert not (tmp_path / "green.csv").exists()
 
 
 def test_green_rejects_empty_table(tmp_path):

@@ -214,12 +214,12 @@ def test_operator_cone_preservation(super_problem):
     for _ in range(50):
         u = DiscreteFunction(op.quad.nodes.copy(),
                              rng.uniform(0.0, 5.0, op.quad.npoints))
-        assert cone_gap(apply(op, u), super_problem) >= -1e-10
+        assert cone_gap(apply(op, u), super_problem, u) >= -1e-10
 
 
 def test_solve_auto_survives_overflowing_starts():
-    # exp grows past double range from the larger constant starts; those
-    # attempts must be reported as failures, not raised
+    # exp grows past double range on the larger radii of the start scan;
+    # that must end the scan, not raise
     p = make_problem("exp(u)", "t", 0.25)
     report = solve_auto(p)
     assert report.converged and report.positive
@@ -337,7 +337,7 @@ def test_solve_auto_rejects_alpha_at_one():
 
 
 def test_solve_auto_estimates_only_the_returned_report(super_problem, monkeypatch):
-    # the superlinear solve discards ten attempts before Newton from 100
+    # the superlinear solve discards Picard's trivial fixed point before Newton
     estimated = []
     real = solver.residuals
 
@@ -365,10 +365,33 @@ def test_failed_estimate_is_inf_and_keeps_the_solution(super_problem, monkeypatc
 
 
 def test_diverged_report_estimate_is_inf():
-    p = make_problem("u^2", "t", 0.25)
-    report = solve_auto(p, method="picard", starts=(1000.0,), omega=1.0, max_iter=50)
-    assert report.diverged
+    # f fails below u = 0.01, so the start scan ends at its first radius and
+    # Picard, the only attempt, grows past the overflow guard
+    p = make_problem("1e4*u^2+sqrt(u-0.01)", "t", 0.25)
+    report = solve_auto(p)
+    assert report.diverged and report.method == "picard"
     assert report.error_estimate == np.inf
+
+
+def test_solve_auto_makes_two_attempts_on_the_superlinear_example(super_problem, monkeypatch):
+    # Picard's trivial fixed point, then Newton from the start scan
+    methods = []
+    for name in ("picard", "newton"):
+        def counting(*args, _run=getattr(solver, name), **kwargs):
+            report = _run(*args, **kwargs)
+            methods.append(report.method)
+            return report
+        monkeypatch.setattr(solver, name, counting)
+    report = solve_auto(super_problem)
+    assert report.positive and methods == ["picard", "newton"]
+
+
+def test_solve_auto_finds_a_solution_past_the_old_start_ladder():
+    # sup ~638: the constant starts 0.1 .. 100 all ended on the trivial solution
+    p = make_problem("1.1311*u^2*(exp(-u)+1)", "0.43195*t^3", 0.25)
+    report = solve_auto(p)
+    assert report.converged and report.positive and report.in_cone
+    assert report.solution.sup_norm() == pytest.approx(638.26, rel=1e-3)
 
 
 def test_grid_convergence_sublinear():
