@@ -20,6 +20,9 @@ from .expressions import Expression, parse
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 
 DIVERGENCE_CUTOFF = 1e6
+# decades per rung that f(u)/u must gain at the ladder's end to diverge
+# below the cutoff: u^p gains |p - 1|, u log u about 0.06 near u = 1e8
+DIVERGENCE_SLOPE = 0.05
 STABLE_SPREAD = 1e-3
 NEAR_ZERO = 1e-3
 # 1 - alpha divides the kernel weight, and quadrature rounding can land an
@@ -181,17 +184,29 @@ def _growth_limit(f: Expression, ladder) -> GrowthEstimate:
             ratio = f(u) / u
         except DomainError:
             # overflow past a divergent tail is still divergence
-            ratios = [r for _, r in samples]
-            if len(ratios) >= 2 and _increasing(ratios) and ratios[-1] > DIVERGENCE_CUTOFF:
+            if _divergent([r for _, r in samples]):
                 return GrowthEstimate("divergent", None, tuple(samples))
             raise
         samples.append((float(u), float(ratio)))
     ratios = [r for _, r in samples]
-    if _increasing(ratios) and ratios[-1] > DIVERGENCE_CUTOFF:
+    if _divergent(ratios):
         return GrowthEstimate("divergent", None, tuple(samples))
     # first-order Richardson step on the final rung pair of the 10x ladder
     value = (10.0 * ratios[-1] - ratios[-2]) / 9.0
     return GrowthEstimate("finite", float(value), tuple(samples))
+
+
+def _divergent(ratios) -> bool:
+    """f(u)/u increases along the whole 10x ladder and either ends past
+    DIVERGENCE_CUTOFF or gains at least DIVERGENCE_SLOPE decades on each
+    of its last two rungs. The slope test catches the power laws that stay
+    below the cutoff on the ladder (u^1.5 ends at 1e4); a ratio that levels
+    off only beyond the last rung reads as divergent."""
+    if len(ratios) < 2 or not _increasing(ratios):
+        return False
+    tail = ratios[-3:]
+    return ratios[-1] > DIVERGENCE_CUTOFF or (tail[0] > 0.0 and all(
+        np.log10(b / a) >= DIVERGENCE_SLOPE for a, b in zip(tail, tail[1:])))
 
 
 def _increasing(ratios):

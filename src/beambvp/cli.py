@@ -140,7 +140,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             np.abs(report.solution.values - au.values),
         ])
         _write_csv(out / "solution.csv", "t,u,Au,fp_residual", rows)
-    ok = report.converged and report.positive
+    ok = report.positive
     status = "positive solution" if ok else ("trivial solution only" if report.converged
                                              else "no convergence")
     print(f"{status}: sup|u| = {report.solution.sup_norm():.6g}, "

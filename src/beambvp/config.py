@@ -62,12 +62,17 @@ class RunConfig:
         if not path.exists():
             raise InvalidConfig(f"config file not found: {path}")
         cp = configparser.ConfigParser()
-        cp.read(path)
+        try:
+            cp.read(str(path))
+            sections = {section: dict(cp[section]) for section in cp.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            detail = " ".join(str(exc).split())
+            raise InvalidConfig(f"cannot read config file {path}: {detail}") from None
         kwargs = {}
-        for section in cp.sections():
+        for section, items in sections.items():
             if section not in _SECTIONS:
                 raise InvalidConfig(f"unknown config section [{section}]")
-            for name, raw in cp[section].items():
+            for name, raw in items.items():
                 if name not in _SECTIONS[section]:
                     raise InvalidConfig(f"unknown key {name!r} in [{section}]")
                 kwargs[name] = _parse(name, raw)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from .analysis import _check_alpha
 from .errors import DomainError, InvalidConfig, SingularSystem
 from .expressions import Expression
 from .kernel import green
@@ -36,12 +36,11 @@ def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> Discret
     side), so polynomial forcings are resolved to near machine precision.
     Since G(0, s) = 0, the nonlocal condition u(0) = integral a u makes c
     the constant integral a(s) (Gy)(s) ds / (1 - alpha); Gy is smooth, so
-    the rule integrates it without a split.
+    the rule integrates it without a split. Raises HypothesisViolation
+    when alpha is outside the window that 1/(1 - alpha) admits.
     """
     ts = np.atleast_1d(np.asarray(eval_nodes, dtype=float))
-    alpha = integrate(a, q)
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidConfig(f"integral of a must lie in [0, 1), got {alpha}")
+    alpha = _check_alpha(integrate(a, q))
     # Gy at the evaluation points and at the rule's nodes, from the rule
     # mapped onto [0, t] and [t, 1]: lo and width have shape (T, 2, 1)
     t = np.concatenate([ts, q.nodes])[:, None, None]
@@ -129,7 +128,14 @@ def _band_set(bands, i, j, value, m):
 
 
 def solve_fd_system(system: FDSystem) -> np.ndarray:
-    """Bordered solve: factor the banded core, eliminate the dense row."""
+    """Bordered solve: factor the banded core, eliminate the dense row.
+
+    scipy is imported here, not at module level: only the oracle needs
+    it, and loading scipy.linalg would dominate the start-up of every
+    solve or classify process.
+    """
+    from scipy.linalg import solve_banded
+
     try:
         z = solve_banded((2, 2), system.bands, system.rhs[:-1])
         w = solve_banded((2, 2), system.bands, system.border_col)

@@ -194,9 +194,10 @@ def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> Sol
 
     Runs damped Picard once from the constant PICARD_START, then Newton
     from each start that _cone_starts reads off the operator. Returns the
-    first converged positive report (see _finish_report); otherwise the
-    first converged one, flagged not-positive. Failure is reported, never
-    raised. Only the returned report gets an error_estimate.
+    first positive report (positive implies converged, see _finish_report);
+    otherwise the first converged one, flagged not-positive, or the last
+    attempt if none converged. Failure is reported, never raised. Only the
+    returned report gets an error_estimate.
     """
     op = build_operator(problem)
 
@@ -214,7 +215,7 @@ def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> Sol
 
     tried = []
     for report in attempts():
-        if report.converged and report.positive:
+        if report.positive:
             break
         tried.append(report)
     else:
@@ -264,12 +265,14 @@ def _fd_derivative(f, u):
 
 
 def _finish_report(op, sol, converged, iterations, fp, method, diverged):
-    """A solution is positive when it is nontrivial (sup >= POSITIVITY_TOL),
+    """A solution is positive when the iteration converged without
+    diverging and the fixed point is nontrivial (sup >= POSITIVITY_TOL),
     nonnegative up to POSITIVITY_TOL * max(1, sup), and in the cone."""
     sup = sol.sup_norm()
     in_cone = cone_gap(sol, op.problem, sol) >= -CONE_SLACK
     nonnegative = float(np.min(sol.values)) >= -POSITIVITY_TOL * max(1.0, sup)
-    positive = sup >= POSITIVITY_TOL and nonnegative and in_cone
+    positive = (converged and not diverged and sup >= POSITIVITY_TOL
+                and nonnegative and in_cone)
     return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
                        positive, diverged)
 

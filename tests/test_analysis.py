@@ -71,6 +71,23 @@ def test_growth_limits_linear():
     assert estimate_finf(parse("3*u", "u")).value == pytest.approx(3.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("f, label", [("u^1.5", SUPERLINEAR), ("sqrt(u)", SUBLINEAR)])
+def test_certificate_power_laws(f, label):
+    # f(u)/u = u^(+-1/2) gains half a decade per rung but stays below the
+    # divergence cutoff (1e4 at the ladder's end); the slope classifies it
+    cert = certificate(make_problem(f, "t", 0.25))
+    assert cert.classification == label
+    tail, head = (cert.finf, cert.f0) if label == SUPERLINEAR else (cert.f0, cert.finf)
+    assert tail.kind == "divergent"
+    assert head.kind == "finite" and head.stable and abs(head.value) <= 1e-3
+
+
+def test_growth_limit_of_a_slowly_rising_ratio_stays_finite():
+    # f(u)/u = 2 - 1/(1+u) rises along the whole ladder, but flattens
+    est = estimate_finf(parse("2*u - u/(1+u)", "u"))
+    assert est.kind == "finite" and est.value == pytest.approx(2.0, rel=1e-8)
+
+
 def test_growth_samples_recorded():
     est = estimate_f0(parse("u", "u"))
     assert len(est.samples) == 8

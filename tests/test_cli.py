@@ -60,6 +60,22 @@ def test_config_rejects_unknown_keys(tmp_path):
         RunConfig.from_file(path)
 
 
+@pytest.mark.parametrize("text", [
+    b'[problem]\nf_text = "u"\n[problem]\na_text = "t"\n',
+    b'tol = 1e-8\n[problem]\n',
+    b'[solver]\ntol = 1e-8\ntol = 1e-9\n',
+    b'[problem]\nf_text = "u%2"\n',
+    b'\xff\xfe[problem]\n',
+], ids=["section-twice", "key-before-header", "key-twice", "bad-interpolation", "not-utf8"])
+def test_config_parse_errors_exit_usage(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("line", ["method = newton", "omega = 0.9", "starts = 1.0, 10.0"])
 def test_config_rejects_retired_solver_keys(tmp_path, capsys, line):
     # solve_auto derives its starts from the operator; nothing is left to set
@@ -247,6 +263,36 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert "indeterminate" in proc.stdout
+
+
+def test_solve_and_classify_do_not_load_scipy(tmp_path):
+    # scipy serves only the finite-difference oracle; a fresh process that
+    # solves and classifies must never import it
+    import subprocess
+    import sys
+    script = (
+        "import sys\n"
+        "from beambvp.cli import main\n"
+        "args = ['--f', sys.argv[1], '--a', 't^2', '--out', sys.argv[2]]\n"
+        "codes = [main(['solve', *args]), main(['classify', *args])]\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(codes, loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, F_SUPER, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] []"
+
+
+def test_verify_from_a_cold_process(tmp_path):
+    # verify's oracle imports scipy on its first banded solve
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-m", "beambvp", "verify", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
 
 
 def test_solve_from_config_file(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from beambvp.errors import InvalidConfig
+from beambvp.errors import HypothesisViolation, InvalidConfig
 from beambvp.expressions import parse
 from beambvp.oracle import fd_solve_linear, fd_solve_nonlinear, formula_solve_linear
 from beambvp.quadrature import default_quadrature
@@ -20,6 +20,13 @@ def uniform_load_deflection(t):
 
 def one(s):
     return np.ones_like(np.asarray(s, dtype=float))
+
+
+def test_formula_rejects_alpha_outside_the_window():
+    # 2t integrates to 1 (0.9999999999999999 on the rule), which 1/(1 - alpha)
+    # cannot scale; the same window as build_operator applies
+    with pytest.raises(HypothesisViolation):
+        formula_solve_linear(one, parse("2*t", "t"), default_quadrature(), [0.0, 0.5])
 
 
 def test_formula_zero_forcing():

@@ -373,6 +373,15 @@ def test_diverged_report_estimate_is_inf():
     assert report.error_estimate == np.inf
 
 
+def test_diverged_report_is_not_positive():
+    # Picard overflows to sup ~ 1.8e24 from a nonnegative iterate in the cone;
+    # a report that did not converge is never positive
+    report = solve_auto(make_problem("1e3*u^2+sqrt(u-0.01)", "t", 0.25))
+    assert report.diverged and not report.converged
+    assert report.solution.sup_norm() > 1e20
+    assert not report.positive
+
+
 def test_solve_auto_makes_two_attempts_on_the_superlinear_example(super_problem, monkeypatch):
     # Picard's trivial fixed point, then Newton from the start scan
     methods = []
