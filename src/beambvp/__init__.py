@@ -15,12 +15,9 @@ the implementation.
 from .analysis import (
     Certificate,
     ConeConstants,
-    GrowthEstimate,
     Problem,
     ValidationReport,
     certificate,
-    estimate_f0,
-    estimate_finf,
     make_problem,
     validate_hypotheses,
 )
@@ -71,12 +68,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamBVPError", "Certificate", "ConeConstants", "DiscreteFunction",
-    "DomainError", "Expression", "GrowthEstimate", "HypothesisViolation",
+    "DomainError", "Expression", "HypothesisViolation",
     "InvalidConfig", "InvalidRange", "NystromOperator", "OutOfDomain",
     "ParseError", "Problem", "Quadrature", "RunConfig", "SingularJacobian",
     "SingularSystem", "SolveReport", "ValidationReport", "apply",
-    "build_operator", "certificate", "default_quadrature", "estimate_f0",
-    "estimate_finf", "fd_solve_linear", "fd_solve_nonlinear",
+    "build_operator", "certificate", "default_quadrature",
+    "fd_solve_linear", "fd_solve_nonlinear",
     "formula_solve_linear", "green", "integrate", "integrate_on",
     "interpolate", "kernel_weight", "lower_envelope", "make_problem",
     "make_quadrature", "newton", "parse", "picard", "residuals", "rho",

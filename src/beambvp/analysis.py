@@ -1,16 +1,17 @@
 """Problem setup, hypothesis validation, and growth classification.
 
-The existence theory distinguishes nonlinearities by the limits of
-f(u)/u at 0+ and at infinity: both-sided crossing (zero at the origin,
-divergent at infinity) is the superlinear case, the reverse is the
-sublinear case. Either one guarantees a positive solution; the
-thresholds epsilon_max and delta_min are the sharp constants that the
-corresponding proof requires.
+The existence proof (Krasnosel'skii's theorem on a cone) needs two
+radii: r, where f is small enough that the operator compresses the cone,
+and R, where f is large enough that it expands it. A compression radius
+below an expansion radius is the superlinear case, the reverse is the
+sublinear case; either one guarantees a positive solution between them.
+certificate samples f on a log grid for such a pair, against the sharp
+thresholds epsilon_max and delta_min that the proof requires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,12 +20,9 @@ from .errors import DomainError, HypothesisViolation, InvalidConfig
 from .expressions import Expression, parse
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 
-DIVERGENCE_CUTOFF = 1e6
-# decades per rung that f(u)/u must gain at the ladder's end to diverge
-# below the cutoff: u^p gains |p - 1|, u log u about 0.06 near u = 1e8
-DIVERGENCE_SLOPE = 0.05
-STABLE_SPREAD = 1e-3
-NEAR_ZERO = 1e-3
+# the witness grid: GRID_DENSITY samples per decade on [GRID_LO, GRID_HI]
+GRID_DENSITY = 8
+GRID_LO, GRID_HI = 1e-150, 1e150
 # 1 - alpha divides the kernel weight, and quadrature rounding can land an
 # inadmissible weight a hair inside the open window (0, 1)
 ALPHA_MARGIN = 1e-12
@@ -140,89 +138,6 @@ def validate_hypotheses(problem: Problem, u_max: float = 1e3,
     return ValidationReport(tuple(found))
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
-    """Numerical estimate of lim f(u)/u along a geometric ladder.
-
-    kind is "finite" or "divergent"; value carries the extrapolated limit
-    when finite. samples holds the (u, f(u)/u) pairs actually used, so a
-    wide, unstabilized tail stays visible to callers.
-    """
-
-    kind: str
-    value: Optional[float]
-    samples: tuple = field(repr=False, default=())
-
-    @property
-    def tail_spread(self) -> float:
-        ratios = [r for _, r in self.samples[-3:]]
-        if len(ratios) < 2:
-            return float("inf")
-        scale = max(1.0, abs(ratios[-1]))
-        return (max(ratios) - min(ratios)) / scale
-
-    @property
-    def tail_decreasing(self) -> bool:
-        ratios = [r for _, r in self.samples]
-        return all(b <= a * (1.0 + 1e-12) for a, b in zip(ratios, ratios[1:]))
-
-    @property
-    def stable(self) -> bool:
-        """True when the tail has settled: either a tight relative spread,
-        or a monotone decay toward zero (which never tightens in relative
-        terms but pins the limit just as well)."""
-        if self.kind != "finite":
-            return False
-        return self.tail_spread < STABLE_SPREAD or (
-            self.tail_decreasing and abs(self.value) <= NEAR_ZERO)
-
-
-def _growth_limit(f: Expression, ladder) -> GrowthEstimate:
-    samples = []
-    for u in ladder:
-        try:
-            ratio = f(u) / u
-        except DomainError:
-            # overflow past a divergent tail is still divergence
-            if _divergent([r for _, r in samples]):
-                return GrowthEstimate("divergent", None, tuple(samples))
-            raise
-        samples.append((float(u), float(ratio)))
-    ratios = [r for _, r in samples]
-    if _divergent(ratios):
-        return GrowthEstimate("divergent", None, tuple(samples))
-    # first-order Richardson step on the final rung pair of the 10x ladder
-    value = (10.0 * ratios[-1] - ratios[-2]) / 9.0
-    return GrowthEstimate("finite", float(value), tuple(samples))
-
-
-def _divergent(ratios) -> bool:
-    """f(u)/u increases along the whole 10x ladder and either ends past
-    DIVERGENCE_CUTOFF or gains at least DIVERGENCE_SLOPE decades on each
-    of its last two rungs. The slope test catches the power laws that stay
-    below the cutoff on the ladder (u^1.5 ends at 1e4); a ratio that levels
-    off only beyond the last rung reads as divergent."""
-    if len(ratios) < 2 or not _increasing(ratios):
-        return False
-    tail = ratios[-3:]
-    return ratios[-1] > DIVERGENCE_CUTOFF or (tail[0] > 0.0 and all(
-        np.log10(b / a) >= DIVERGENCE_SLOPE for a, b in zip(tail, tail[1:])))
-
-
-def _increasing(ratios):
-    return all(b >= a * (1.0 - 1e-12) for a, b in zip(ratios, ratios[1:]))
-
-
-def estimate_f0(f: Expression) -> GrowthEstimate:
-    """Estimate lim_{u -> 0+} f(u)/u on the ladder 1e-1 .. 1e-8."""
-    return _growth_limit(f, [10.0**-k for k in range(1, 9)])
-
-
-def estimate_finf(f: Expression) -> GrowthEstimate:
-    """Estimate lim_{u -> inf} f(u)/u on the ladder 1e1 .. 1e8."""
-    return _growth_limit(f, [10.0**k for k in range(1, 9)])
-
-
 SUPERLINEAR = "superlinear"
 SUBLINEAR = "sublinear"
 INDETERMINATE = "indeterminate"
@@ -230,39 +145,93 @@ INDETERMINATE = "indeterminate"
 
 @dataclass(frozen=True)
 class Certificate:
-    """Existence-threshold constants for a given problem.
+    """Sharp proof constants and a sampled Krasnosel'skii witness.
 
-    epsilon_max = 6(1-alpha) is the largest linear-growth bound usable
-    near zero; delta_min is the smallest usable near infinity,
+    epsilon_max = 6(1-alpha) is the reciprocal of the kernel's upper bound
+    1/(6(1-alpha)); delta_min is the smallest linear growth that the kernel's
+    floor on the strip [theta, 1-theta] turns into expansion,
     36(1-alpha) / [theta^6 (1-alpha+beta)^2 (1-2 theta)(1/2+theta-theta^2)].
+    The witness is two radii (Guo & Lakshmikantham, Nonlinear Problems in
+    Abstract Cones, 1988; Erbe & Wang, Proc. AMS 120 (1994) 743-748):
+
+    * r, compression: f(u) <= epsilon_max r for 0 <= u <= r. For u in the
+      cone with ||u|| = r this bounds Au by r, so ||Au|| <= ||u||.
+    * R, expansion: f(u) >= delta_min u for gamma R <= u <= R. A u in the
+      cone with ||u|| = R stays above gamma R on the strip, so f(u) >=
+      delta_min gamma R there and the strip floor gives ||Au|| >= ||u||.
+
+    A fixed point lies in the annulus between them: r < R is the
+    superlinear case, R < r the sublinear one, and without a pair the
+    label is indeterminate (r and R are None). Both radii are points of
+    log_grid; the inequalities are checked at its samples only. top is the
+    largest sample where f is finite, None if f fails at the smallest.
     """
 
     classification: str
     epsilon_max: float
     delta_min: float
-    f0: GrowthEstimate
-    finf: GrowthEstimate
+    r: Optional[float]
+    R: Optional[float]
+    top: Optional[float]
+
+    @property
+    def span(self) -> Optional[tuple]:
+        """(lo, hi): the witness annulus, or f's finite sampled range
+        without a witness; None when f is finite at no sample."""
+        if self.r is not None:
+            return min(self.r, self.R), max(self.r, self.R)
+        return None if self.top is None else (GRID_LO, self.top)
+
+
+def log_grid(lo: float, hi: float) -> np.ndarray:
+    """GRID_DENSITY points per decade from lo to hi, both included."""
+    return np.geomspace(lo, hi, int(round(GRID_DENSITY * np.log10(hi / lo))) + 1)
 
 
 def certificate(problem: Problem) -> Certificate:
-    """Classify the nonlinearity and evaluate the sharp proof thresholds."""
-    f0 = estimate_f0(problem.f)
-    finf = estimate_finf(problem.f)
+    """Evaluate the sharp proof thresholds and search for a witness pair.
+
+    f is sampled once on log_grid(GRID_LO, GRID_HI), cut to the longest
+    prefix on which it is finite. The pair is the lowest annulus on the
+    grid: the largest compression radius below the first expansion radius,
+    or the largest expansion radius below the first compression radius.
+    Raises HypothesisViolation unless 0 <= alpha < 1, as build_operator does.
+    """
     cone = problem.cone
     theta = cone.theta
+    _check_alpha(cone.alpha)
     epsilon_max = 6.0 * (1.0 - cone.alpha)
     shell = (1.0 - 2.0 * theta) * (0.5 + theta - theta**2)
     delta_min = 36.0 * (1.0 - cone.alpha) / (
         theta**6 * (1.0 - cone.alpha + cone.beta) ** 2 * shell
     )
-    if _near_zero(f0) and finf.kind == "divergent":
-        label = SUPERLINEAR
-    elif f0.kind == "divergent" and _near_zero(finf):
-        label = SUBLINEAR
-    else:
-        label = INDETERMINATE
-    return Certificate(label, epsilon_max, delta_min, f0, finf)
+    us, fu = _finite_samples(problem.f, log_grid(GRID_LO, GRID_HI))
+    compress = np.flatnonzero(np.maximum.accumulate(fu) <= epsilon_max * us)
+    # samples k - width .. k cover [gamma u_k, u_k]; count failures in that window
+    width = int(np.ceil(GRID_DENSITY * np.log10(1.0 / cone.gamma)))
+    failures = np.concatenate(([0], np.cumsum(fu < delta_min * us)))
+    ks = np.arange(width, us.size)
+    expand = ks[failures[ks + 1] == failures[ks - width]]
+    label, r, R = INDETERMINATE, None, None
+    if compress.size and expand.size:
+        if compress[0] < expand[0]:
+            label, i, j = SUPERLINEAR, compress[compress < expand[0]][-1], expand[0]
+        else:
+            label, i, j = SUBLINEAR, compress[0], expand[expand < compress[0]][-1]
+        r, R = float(us[i]), float(us[j])
+    top = float(us[-1]) if us.size else None
+    return Certificate(label, epsilon_max, delta_min, r, R, top)
 
 
-def _near_zero(est: GrowthEstimate) -> bool:
-    return est.kind == "finite" and est.stable and abs(est.value) <= NEAR_ZERO
+def _finite_samples(f: Expression, us: np.ndarray) -> tuple:
+    """(us[:k], f(us[:k])) for the largest k at which f is finite: one
+    call when f is finite on all of us, a bisection on k otherwise."""
+    good, bad, values = 0, us.size + 1, np.empty(0)
+    # f is finite on us[:good] and not on us[:bad]
+    while bad - good > 1:
+        mid = us.size if bad > us.size else (good + bad) // 2
+        try:
+            values, good = np.asarray(f(us[:mid]), dtype=float), mid
+        except DomainError:
+            bad = mid
+    return us[:good], values

@@ -130,6 +130,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         "error_estimate": report.error_estimate,
         "in_cone": report.in_cone,
         "sup_norm": report.solution.sup_norm(),
+        "r": report.operator.certificate.r,
+        "R": report.operator.certificate.R,
+        "in_annulus": report.in_annulus,
     })
     if cfg.write_json:
         _write_json(out / "report.json", payload)
@@ -153,13 +156,9 @@ def cmd_classify(cfg: RunConfig) -> int:
     cert = certificate(problem)
     payload = _base_payload(cfg, problem)
     payload.update({
-        "f0": _limit_json(cert.f0),
-        "finf": _limit_json(cert.finf),
-        "f0_kind": cert.f0.kind,
-        "f0_value": cert.f0.value,
-        "finf_kind": cert.finf.kind,
-        "finf_value": cert.finf.value,
         "classification": cert.classification,
+        "r": cert.r,
+        "R": cert.R,
         "epsilon_max": cert.epsilon_max,
         "delta_min": cert.delta_min,
     })
@@ -207,10 +206,6 @@ def cmd_green(cfg: RunConfig, grid_m: int) -> int:
                "t,s,G,kernel,lower_envelope,upper_envelope", rows)
     print(f"wrote {rows.shape[0]} kernel samples")
     return EXIT_OK
-
-
-def _limit_json(estimate):
-    return estimate.value if estimate.kind == "finite" else "divergent"
 
 
 def _base_payload(cfg, problem):

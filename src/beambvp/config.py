@@ -63,9 +63,11 @@ class RunConfig:
             raise InvalidConfig(f"config file not found: {path}")
         cp = configparser.ConfigParser()
         try:
-            cp.read(str(path))
+            # read_file, unlike read, fails on a path it cannot open
+            with open(path, encoding="utf-8") as handle:
+                cp.read_file(handle)
             sections = {section: dict(cp[section]) for section in cp.sections()}
-        except (configparser.Error, UnicodeDecodeError) as exc:
+        except (OSError, configparser.Error, UnicodeDecodeError) as exc:
             detail = " ".join(str(exc).split())
             raise InvalidConfig(f"cannot read config file {path}: {detail}") from None
         kwargs = {}

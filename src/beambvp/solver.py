@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Problem, _check_alpha
+from .analysis import Certificate, Problem, _check_alpha, certificate, log_grid
 from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
 from .kernel import green
 from .quadrature import Quadrature, make_quadrature
 
+# an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
 OVERFLOW_GUARD = 1e12
 POSITIVITY_TOL = 1e-6
 CONE_SLACK = 1e-10
@@ -55,11 +56,14 @@ class DiscreteFunction:
 
 @dataclass
 class NystromOperator:
-    """Dense collocation matrix K[i, j] = (G(t_i, s_j) + W(s_j)) w_j."""
+    """Dense collocation matrix K[i, j] = (G(t_i, s_j) + W(s_j)) w_j, and the
+    problem's certificate, whose radii bracket the Newton starts and set
+    the overflow guard."""
 
     quad: Quadrature
     kmatrix: np.ndarray
     problem: Problem
+    certificate: Certificate
 
 
 @dataclass
@@ -79,6 +83,13 @@ class SolveReport:
     diverged: bool = False
     error_estimate: float = np.nan
 
+    @property
+    def in_annulus(self) -> bool:
+        """The solution's sup norm lies between the certificate's witness
+        radii, where the existence proof puts a fixed point."""
+        cert = self.operator.certificate
+        return cert.r is not None and cert.span[0] <= self.solution.sup_norm() <= cert.span[1]
+
 
 def build_operator(problem: Problem) -> NystromOperator:
     """Assemble the collocation matrix on the problem's quadrature.
@@ -92,7 +103,7 @@ def build_operator(problem: Problem) -> NystromOperator:
     alpha = _check_alpha(problem.cone.alpha)
     w_col = (np.asarray(problem.a(q.nodes)) * q.weights) @ gmat / (1.0 - alpha)
     kmat = (gmat + w_col[None, :]) * q.weights[None, :]
-    return NystromOperator(q, kmat, problem)
+    return NystromOperator(q, kmat, problem, certificate(problem))
 
 
 def apply(op: NystromOperator, u: DiscreteFunction) -> DiscreteFunction:
@@ -110,14 +121,15 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
            tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
     """Damped successive substitution u <- (1-omega) u + omega Au.
 
-    Stops when the undamped update ||Au - u|| drops below tol (so a
-    converged report always satisfies fp_residual <= tol) or when the
-    iterate breaches the overflow guard, which sets the diverged flag
-    instead of raising.
+    Stops when the undamped update ||Au - u|| drops below
+    tol max(1, ||u||) (so a converged report always satisfies that bound)
+    or when the iterate breaches the overflow guard, which sets the
+    diverged flag instead of raising.
     """
     if not 0.0 < omega <= 1.0:
         raise InvalidConfig("omega must lie in (0, 1]")
     kmat, f = op.kmatrix, op.problem.f
+    guard = _overflow_guard(op)
     u = np.asarray(u0.values, dtype=float).copy()
     converged = diverged = False
     fp = np.inf
@@ -126,11 +138,11 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
         iterations += 1
         au = kmat @ f(u)
         fp = float(np.max(np.abs(au - u)))
-        if fp <= tol:
+        if _within_tol(fp, u, tol):
             converged = True
             break
         u = (1.0 - omega) * u + omega * au
-        if np.max(np.abs(u)) > OVERFLOW_GUARD:
+        if np.max(np.abs(u)) > guard:
             diverged = True
             break
     if not converged and not diverged:
@@ -141,50 +153,46 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
 
 def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
            max_iter: int = 500) -> SolveReport:
-    """Damped Newton on F(u) = u - Au.
+    """Damped Newton on F(u) = u - Au, until ||F(u)|| <= tol max(1, ||u||).
 
     The Jacobian I - K diag(f'(u)) uses central finite differences for
     f' (step max(1e-6, 1e-6 |u|)); each step is halved until ||F||
     decreases. Raises SingularJacobian if the linear solve fails.
     """
     kmat, f = op.kmatrix, op.problem.f
+    guard = _overflow_guard(op)
     n = op.quad.npoints
     u = np.asarray(u0.values, dtype=float).copy()
-    converged = diverged = False
+    diverged = False
     iterations = 0
-    fp = float(np.max(np.abs(u - kmat @ f(u))))
-    while iterations < max_iter:
-        residual = u - kmat @ f(u)
-        fp = float(np.max(np.abs(residual)))
-        if fp <= tol:
-            converged = True
-            break
+    residual = u - kmat @ f(u)
+    fp = float(np.max(np.abs(residual)))
+    while not _within_tol(fp, u, tol) and iterations < max_iter:
         iterations += 1
         jac = np.eye(n) - kmat * _fd_derivative(f, u)[None, :]
         try:
             step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Newton linear solve failed: {exc}") from exc
-        lam, accepted = 1.0, False
+        lam = 1.0
         for _ in range(40):
             try:
                 u_try = u + lam * step
-                fp_try = float(np.max(np.abs(u_try - kmat @ f(u_try))))
+                residual_try = u_try - kmat @ f(u_try)
             except DomainError:
                 lam *= 0.5
                 continue
+            fp_try = float(np.max(np.abs(residual_try)))
             if fp_try < fp:
-                u, accepted = u_try, True
                 break
             lam *= 0.5
-        if not accepted:
-            break
-        if np.max(np.abs(u)) > OVERFLOW_GUARD:
+        else:
+            break  # no damping decreased ||F||
+        u, residual, fp = u_try, residual_try, fp_try
+        if np.max(np.abs(u)) > guard:
             diverged = True
             break
-    if not diverged:
-        fp = float(np.max(np.abs(u - kmat @ f(u))))
-        converged = fp <= tol
+    converged = not diverged and _within_tol(fp, u, tol)
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
     return _finish_report(op, sol, converged, iterations, fp, "newton", diverged)
 
@@ -232,27 +240,42 @@ def _cone_starts(op: NystromOperator) -> list:
 
     A fixed point lies between a radius where A compresses and one where it
     expands (Krasnosel'skii; Guo & Lakshmikantham, Nonlinear Problems in
-    Abstract Cones, 1988). log rho(c) = log(max A(c v) / c) is scanned on
-    c = 10^k, k = -8 .. 8, up to the first c where f fails. Each sign change
-    gives a start at its log-linear root (Newton's basin spans about a factor
-    2 in c); without one, the start is the c of least |log rho|.
+    Abstract Cones, 1988). log rho(c) = log(max A(c v) / c) is scanned, in
+    one evaluation of f, on the certificate's log grid over its span: between
+    the witness radii, or over f's finite range without a witness. Each sign
+    change gives a start at its log-linear root; without one, the start is
+    the c of least |log rho|.
     """
+    span = op.certificate.span
+    if span is None:
+        return []
     kmat, f = op.kmatrix, op.problem.f
     v = kmat.sum(axis=1)
     v = v / np.max(v)
-    decades, logs = range(-8, 9), []
-    for k in decades:
-        try:
-            rho = float(np.max(kmat @ f(10.0**k * v))) / 10.0**k
-        except DomainError:
-            break
-        # rho = 0, where f vanishes on the ray, is the strongest compression
-        logs.append(np.log(max(rho, np.finfo(float).tiny)))
-    roots = [k + lo / (lo - hi) for k, lo, hi in zip(decades, logs, logs[1:])
-             if (lo < 0.0) != (hi < 0.0)]
-    if not roots and logs:
-        roots = [decades[int(np.argmin(np.abs(logs)))]]
-    return [DiscreteFunction(op.quad.nodes.copy(), 10.0**r * v) for r in roots]
+    cs = log_grid(*span)
+    try:
+        # column k is A(c_k v)
+        rho = np.max(kmat @ f(np.outer(v, cs)), axis=0) / cs
+    except DomainError:
+        return []
+    # rho = 0, where f vanishes on the ray, is the strongest compression
+    logs, x = np.log(np.maximum(rho, np.finfo(float).tiny)), np.log(cs)
+    k = np.flatnonzero((logs[:-1] < 0.0) != (logs[1:] < 0.0))
+    if k.size:
+        roots = x[k] + (x[k + 1] - x[k]) * logs[k] / (logs[k] - logs[k + 1])
+    else:
+        roots = x[[np.argmin(np.abs(logs))]]
+    return [DiscreteFunction(op.quad.nodes.copy(), np.exp(root) * v) for root in roots]
+
+
+def _within_tol(fp: float, u: np.ndarray, tol: float) -> bool:
+    """tol is absolute up to sup|u| = 1 and relative above."""
+    return fp <= tol * max(1.0, float(np.max(np.abs(u))))
+
+
+def _overflow_guard(op: NystromOperator) -> float:
+    span = op.certificate.span
+    return OVERFLOW_GUARD * max(1.0, span[1] if span else 0.0)
 
 
 def _fd_derivative(f, u):

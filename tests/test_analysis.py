@@ -1,19 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from beambvp.analysis import (
+    GRID_DENSITY,
     INDETERMINATE,
     SUBLINEAR,
     SUPERLINEAR,
     certificate,
-    estimate_f0,
-    estimate_finf,
     make_problem,
     validate_hypotheses,
 )
 from beambvp.errors import InvalidConfig
-from beambvp.expressions import parse
 
 F_SUPER = "u^2*(exp(-u)+1)"
 F_SUB = "sqrt(1+u)+sin(u)"
@@ -50,48 +49,91 @@ def test_validate_flags_alpha_out_of_window():
     assert [v.code for v in report.violations] == ["alpha-range"]
 
 
+def _witness_holds(problem, cert):
+    """Both inequalities of the witness at 200 points per decade."""
+    f, gamma = problem.f, problem.cone.gamma
+    low = np.geomspace(1e-12 * cert.r, cert.r, 2401)
+    high = np.geomspace(gamma * cert.R, cert.R, 400)
+    return (np.max(f(low)) <= cert.epsilon_max * cert.r
+            and np.all(f(high) >= cert.delta_min * high))
+
+
 def test_growth_limits_superlinear_example():
-    f = parse(F_SUPER, "u")
-    low = estimate_f0(f)
-    assert low.kind == "finite" and abs(low.value) <= 1e-6
-    assert low.stable
-    high = estimate_finf(f)
-    assert high.kind == "divergent"
+    p = make_problem(F_SUPER, "t^2", 0.25)
+    cert = certificate(p)
+    assert cert.r < cert.R
+    assert _witness_holds(p, cert)
 
 
 def test_growth_limits_sublinear_example():
-    f = parse(F_SUB, "u")
-    assert estimate_f0(f).kind == "divergent"
-    high = estimate_finf(f)
-    assert high.kind == "finite" and abs(high.value) <= 1e-3
+    p = make_problem(F_SUB, "t", 0.25)
+    cert = certificate(p)
+    assert cert.R < cert.r
+    assert _witness_holds(p, cert)
 
 
 def test_growth_limits_linear():
-    assert estimate_f0(parse("u", "u")).value == pytest.approx(1.0, rel=1e-12)
-    assert estimate_finf(parse("3*u", "u")).value == pytest.approx(3.0, rel=1e-12)
+    # f(u)/u is constant and far below delta_min, so no radius expands
+    for f in ("u", "3*u"):
+        cert = certificate(make_problem(f, "t", 0.25))
+        assert cert.classification == INDETERMINATE
+        assert cert.r is None and cert.R is None
+        assert cert.span == (1e-150, 1e150)
 
 
-@pytest.mark.parametrize("f, label", [("u^1.5", SUPERLINEAR), ("sqrt(u)", SUBLINEAR)])
+@pytest.mark.parametrize("f, label", [
+    ("u^1.5", SUPERLINEAR), ("sqrt(u)", SUBLINEAR),
+    ("u^1.1", SUPERLINEAR), ("u^1.2", SUPERLINEAR), ("u^3", SUPERLINEAR),
+])
 def test_certificate_power_laws(f, label):
-    # f(u)/u = u^(+-1/2) gains half a decade per rung but stays below the
-    # divergence cutoff (1e4 at the ladder's end); the slope classifies it
-    cert = certificate(make_problem(f, "t", 0.25))
+    # u^1.1 expands only past R ~ 7.5e57, beyond any fixed ladder
+    p = make_problem(f, "t", 0.25)
+    cert = certificate(p)
     assert cert.classification == label
-    tail, head = (cert.finf, cert.f0) if label == SUPERLINEAR else (cert.f0, cert.finf)
-    assert tail.kind == "divergent"
-    assert head.kind == "finite" and head.stable and abs(head.value) <= 1e-3
+    assert (cert.r < cert.R) == (label == SUPERLINEAR)
+    assert _witness_holds(p, cert)
 
 
 def test_growth_limit_of_a_slowly_rising_ratio_stays_finite():
-    # f(u)/u = 2 - 1/(1+u) rises along the whole ladder, but flattens
-    est = estimate_finf(parse("2*u - u/(1+u)", "u"))
-    assert est.kind == "finite" and est.value == pytest.approx(2.0, rel=1e-8)
+    # f(u)/u = 2 - 1/(1+u) and u/(1e7+u) rise along the whole grid, to 2 and
+    # to 1, far below delta_min = 3.8e5: no expansion radius
+    for f in ("2*u - u/(1+u)", "u^2/(1e7+u)"):
+        cert = certificate(make_problem(f, "t", 0.25))
+        assert cert.classification == INDETERMINATE and cert.R is None
 
 
-def test_growth_samples_recorded():
-    est = estimate_f0(parse("u", "u"))
-    assert len(est.samples) == 8
-    assert est.samples[0][0] == pytest.approx(0.1)
+def test_witness_radii_lie_on_the_log_grid():
+    cert = certificate(make_problem(F_SUPER, "t^2", 0.25))
+    for radius in (cert.r, cert.R):
+        steps = GRID_DENSITY * np.log10(radius)
+        assert steps == pytest.approx(round(steps), abs=1e-9)
+
+
+def test_certificate_cuts_the_grid_where_f_overflows():
+    # exp(u) overflows past u = 709.8; the witness pair sits below that
+    cert = certificate(make_problem("exp(u)", "t", 0.25))
+    assert cert.top == pytest.approx(10**2.75)
+    assert cert.classification == SUBLINEAR
+    assert cert.R == pytest.approx(2.37e-6, rel=1e-2) and cert.r == pytest.approx(0.75, rel=1e-3)
+    assert certificate(make_problem("u^2*exp(u)", "t", 0.25)).span == (1e-150, cert.top)
+    # not finite at the smallest sample: no range, no witness
+    none = certificate(make_problem("sqrt(u-0.01)", "t", 0.25))
+    assert none.top is None and none.span is None
+
+
+# the corners of the benchmark's two solve families: f = b g(u), a = c t^k
+# with alpha = c / (k + 1)
+@pytest.mark.parametrize("alpha", [0.1, 0.8])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("f, label", [
+    ("0.5*u^2*(exp(-u)+1)", SUPERLINEAR), ("2*u^2*(exp(-u)+1)", SUPERLINEAR),
+    ("0.5*(sqrt(1+u)+sin(u))", SUBLINEAR), ("4*(sqrt(1+u)+sin(u))", SUBLINEAR),
+])
+def test_benchmark_family_corners_keep_their_label(f, label, k, alpha):
+    p = make_problem(f, f"{alpha * (k + 1)}*t^{k}", 0.25)
+    cert = certificate(p)
+    assert cert.classification == label
+    assert _witness_holds(p, cert)
 
 
 def test_certificate_superlinear_example():
@@ -133,14 +175,17 @@ def test_epsilon_consistency():
     assert cert.epsilon_max / (6.0 * (1.0 - p.cone.alpha)) <= 1.0 + 1e-15
 
 
-@pytest.mark.parametrize("scale", [0.5, 2.0, 10.0])
+# the theorem is scale-free, and so is the witness search
+@pytest.mark.parametrize("scale", [0.5, 2.0, 10.0] + [10.0**k for k in range(-12, 13) if k != 1])
 @pytest.mark.parametrize("f_text,expected", [
     (F_SUPER, SUPERLINEAR),
     (F_SUB, SUBLINEAR),
 ])
 def test_classification_scale_invariance(scale, f_text, expected):
     p = make_problem(f"{scale}*({f_text})", "t^2", 0.25)
-    assert certificate(p).classification == expected
+    cert = certificate(p)
+    assert cert.classification == expected
+    assert _witness_holds(p, cert)
 
 
 def test_validate_guards_arguments():

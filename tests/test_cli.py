@@ -110,6 +110,23 @@ def test_solve_finds_a_solution_far_out_on_the_cone(tmp_path):
     assert report["sup_norm"] == pytest.approx(1.53e4, rel=1e-2)
 
 
+def test_solve_report_records_the_witness(tmp_path):
+    assert main(["solve", "--f", F_SUPER, "--a", "t^2", "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["r"] < report["sup_norm"] < report["R"] and report["in_annulus"] is True
+
+
+def test_solve_reports_a_solution_outside_any_annulus(tmp_path):
+    # u^2 exp(u/10) expands only where it overflows, so there is no witness;
+    # Newton from the scan over f's finite range still finds sup ~31
+    code = main(["solve", "--f", "u^2*exp(u/10)", "--a", "t", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["positive"] is True and report["in_annulus"] is False
+    assert report["r"] is None and report["R"] is None
+    assert report["sup_norm"] == pytest.approx(31.03, rel=1e-3)
+
+
 def test_solve_zero_map_exits_trivial(tmp_path):
     code = main(["solve", "--f", "0*u", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_TRIVIAL
@@ -145,13 +162,14 @@ def test_classify_examples(tmp_path):
     payload = json.loads((out / "classify.json").read_text())
     assert payload["classification"] == "superlinear"
     assert payload["epsilon_max"] == pytest.approx(4.0, abs=1e-12)
-    assert payload["f0_kind"] == "finite" and payload["finf_kind"] == "divergent"
+    assert payload["r"] < payload["R"]
 
     out2 = tmp_path / "c2"
     assert main(["certificate", "--f", F_SUB, "--a", "t", "--out", str(out2)]) == EXIT_OK
     payload2 = json.loads((out2 / "classify.json").read_text())
     assert payload2["classification"] == "sublinear"
     assert payload2["epsilon_max"] == pytest.approx(3.0, abs=1e-12)
+    assert payload2["R"] < payload2["r"]
 
 
 @pytest.mark.parametrize("f, a", [("1/u", "t"), ("u^2", "2*t")])
@@ -193,13 +211,16 @@ def test_verify_rejects_grid_missing_a_strip(tmp_path):
     assert not (tmp_path / "verify.json").exists()
 
 
-def test_classify_json_carries_limit_fields(tmp_path):
+def test_classify_json_carries_the_witness(tmp_path):
     assert main(["classify", "--f", F_SUPER, "--a", "t^2", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "classify.json").read_text())
-    assert payload["finf"] == "divergent"
-    assert abs(payload["f0"]) <= 1e-6
+    assert payload["r"] == pytest.approx(10**0.5) and payload["R"] == pytest.approx(10**7.75)
+    assert not {"f0", "finf", "f0_kind", "f0_value", "finf_kind", "finf_value"} & payload.keys()
     for key in ("alpha", "beta", "gamma", "epsilon_max", "delta_min"):
         assert key in payload
+    assert main(["classify", "--f", "u", "--a", "t", "--out", str(tmp_path)]) == EXIT_OK
+    payload = json.loads((tmp_path / "classify.json").read_text())
+    assert payload["r"] is None and payload["R"] is None
 
 
 def test_verify_detects_perturbed_kernel(tmp_path):
@@ -323,3 +344,11 @@ def test_json_only_artifacts(tmp_path):
 
 def test_missing_config_file():
     assert main(["solve", "--config", "/nonexistent/run.ini"]) == EXIT_USAGE
+
+
+def test_config_that_is_a_directory_exits_usage(tmp_path, capsys):
+    code = main(["solve", "--config", str(tmp_path), "--f", F_SUB, "--a", "t",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}: ")
+    assert not (tmp_path / "report.json").exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -428,3 +430,43 @@ def test_nystrom_agrees_with_fd_oracle_sublinear(sub_problem, sub_solution):
     assert fd.converged
     on_grid = interpolate(report.solution, sub_problem, fd.nodes)
     assert np.max(np.abs(fd.values - on_grid)) <= 1e-4
+
+
+@pytest.mark.parametrize("f, sup, in_annulus", [
+    ("u^1.1", 5.876e19, True), ("u^1.2", 1.071e10, True), ("u^1.5", 1.533e4, True),
+    ("u^3", 18.14, True), ("u^2*exp(u)", 5.922, False),
+])
+def test_solve_auto_finds_solutions_at_any_scale(f, sup, in_annulus):
+    # the starts come from the witness bracket (u^2 exp(u) has none and is
+    # scanned over its finite range), and tol is relative above sup 1
+    report = solve_auto(make_problem(f, "t", 0.25))
+    assert report.positive and report.method == "newton"
+    assert report.in_annulus == in_annulus
+    assert report.solution.sup_norm() == pytest.approx(sup, rel=1e-3)
+
+
+@pytest.mark.parametrize("k", range(-12, 7))
+def test_solve_auto_is_scale_free(k):
+    # lambda f has its solution near 1/lambda times f's; below about 1e2 the
+    # exp(-u) term fades and f -> 2 lambda u^2 halves lambda sup|u|
+    report = solve_auto(make_problem(f"1e{k}*({F_SUPER})", "t^2", 0.25))
+    assert report.positive and report.in_annulus
+    assert 140.0 <= 10.0**k * report.solution.sup_norm() <= 295.0
+
+
+@pytest.mark.parametrize("f, c", [("0*u+2", 5.0), (F_SUB, 1.0)])
+def test_newton_evaluates_one_residual_per_iterate(f, c):
+    # the start's residual, then two evaluations for each finite-difference
+    # Jacobian and one for each line-search trial; both runs take full steps
+    p = make_problem(f, "t", 0.25)
+    op = build_operator(p)
+    calls = []
+
+    def counting(u):
+        calls.append(np.size(u))
+        return p.f(u)
+
+    op.problem = replace(p, f=counting)
+    report = newton(op, constant_start(op, c))
+    assert report.converged
+    assert len(calls) == 1 + 3 * report.iterations
