@@ -29,6 +29,7 @@ from .errors import (
     InvalidConfig,
     InvalidRange,
     OutOfDomain,
+    Overflow,
     ParseError,
     SingularJacobian,
     SingularSystem,
@@ -70,7 +71,7 @@ __all__ = [
     "BeamBVPError", "Certificate", "ConeConstants", "DiscreteFunction",
     "DomainError", "Expression", "HypothesisViolation",
     "InvalidConfig", "InvalidRange", "NystromOperator", "OutOfDomain",
-    "ParseError", "Problem", "Quadrature", "RunConfig", "SingularJacobian",
+    "Overflow", "ParseError", "Problem", "Quadrature", "RunConfig", "SingularJacobian",
     "SingularSystem", "SolveReport", "ValidationReport", "apply",
     "build_operator", "certificate", "default_quadrature",
     "fd_solve_linear", "fd_solve_nonlinear",

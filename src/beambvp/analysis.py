@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation, InvalidConfig
+from .errors import DomainError, HypothesisViolation, InvalidConfig, Overflow
 from .expressions import Expression, parse
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 
@@ -106,20 +106,22 @@ def validate_hypotheses(problem: Problem, u_max: float = 1e3,
     """Sample-based admissibility check.
 
     Continuity cannot be tested numerically; dense sampling of f on
-    [0, u_max] and of a on [0, 1] is the testable surrogate. Violations
-    are returned as data, never raised.
+    [0, u_max] and of a on [0, 1] is the testable surrogate. An overflow
+    of f ends its sampled range, since f may be continuous past the float
+    range; an invalid operation or a division by zero is a violation.
+    Violations are returned as data, never raised.
     """
     if u_max <= 0 or n_samples < 2:
         raise InvalidConfig("u_max must be positive and n_samples >= 2")
     found = []
-    us = np.linspace(0.0, u_max, n_samples)
-    try:
-        fv = np.asarray(problem.f(us))
-        if np.any(fv < 0.0):
-            at = float(us[int(np.argmin(fv))])
-            found.append(Violation("f-negative", f"f({at}) = {float(np.min(fv))} < 0", at))
-    except DomainError as exc:
-        found.append(Violation("f-domain", f"f is not finite on [0, {u_max}]: {exc}", np.nan))
+    grid = np.linspace(0.0, u_max, n_samples)
+    us, fv, failure = _finite_samples(problem.f, grid)
+    if failure is not None and not isinstance(failure, Overflow):
+        at = float(grid[us.size])
+        found.append(Violation("f-domain", f"f is not finite at u = {at}: {failure}", at))
+    if np.any(fv < 0.0):
+        at = float(us[int(np.argmin(fv))])
+        found.append(Violation("f-negative", f"f({at}) = {float(np.min(fv))} < 0", at))
     ts = np.linspace(0.0, 1.0, min(n_samples, 2001))
     try:
         av = np.asarray(problem.a(ts))
@@ -205,7 +207,7 @@ def certificate(problem: Problem) -> Certificate:
     delta_min = 36.0 * (1.0 - cone.alpha) / (
         theta**6 * (1.0 - cone.alpha + cone.beta) ** 2 * shell
     )
-    us, fu = _finite_samples(problem.f, log_grid(GRID_LO, GRID_HI))
+    us, fu, _ = _finite_samples(problem.f, log_grid(GRID_LO, GRID_HI))
     compress = np.flatnonzero(np.maximum.accumulate(fu) <= epsilon_max * us)
     # samples k - width .. k cover [gamma u_k, u_k]; count failures in that window
     width = int(np.ceil(GRID_DENSITY * np.log10(1.0 / cone.gamma)))
@@ -224,14 +226,16 @@ def certificate(problem: Problem) -> Certificate:
 
 
 def _finite_samples(f: Expression, us: np.ndarray) -> tuple:
-    """(us[:k], f(us[:k])) for the largest k at which f is finite: one
-    call when f is finite on all of us, a bisection on k otherwise."""
-    good, bad, values = 0, us.size + 1, np.empty(0)
-    # f is finite on us[:good] and not on us[:bad]
+    """(us[:k], f(us[:k]), failure) for the largest k at which f is finite:
+    one call when f is finite on all of us, a bisection on k otherwise.
+    failure is the DomainError f raises at us[k], None if k = us.size."""
+    good, bad, values, failure = 0, us.size + 1, np.empty(0), None
+    # f is finite on us[:good] and not on us[:bad], so the last failure
+    # is the one at us[bad - 1], the only failing sample in us[:bad]
     while bad - good > 1:
         mid = us.size if bad > us.size else (good + bad) // 2
         try:
             values, good = np.asarray(f(us[:mid]), dtype=float), mid
-        except DomainError:
-            bad = mid
-    return us[:good], values
+        except DomainError as exc:
+            bad, failure = mid, exc
+    return us[:good], values, failure

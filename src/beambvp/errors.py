@@ -16,7 +16,11 @@ class ParseError(BeamBVPError):
 class DomainError(BeamBVPError):
     """An evaluation produced a non-finite intermediate (log of a
     nonpositive number, square root of a negative, division by zero,
-    overflow)."""
+    overflow) or was given one."""
+
+
+class Overflow(DomainError):
+    """An evaluation exceeded the float range, from finite values."""
 
 
 class InvalidConfig(BeamBVPError):

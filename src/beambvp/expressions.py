@@ -11,20 +11,28 @@ text and parsed into immutable syntax trees. The grammar:
     FUNC   := "exp" | "sin" | "cos" | "sqrt" | "log" | "abs"
 
 "^" is right associative and binds tighter than unary minus, so
--2^2 == -(2^2). There is no implicit multiplication. Evaluation works on
-scalars and numpy arrays alike and raises DomainError as soon as any
-intermediate stops being finite.
+-2^2 == -(2^2). There is no implicit multiplication, and every constant
+must be finite.
+
+Each expression is compiled once, when it is built, into a closure of
+numpy ufuncs. Evaluation works on scalars and numpy arrays alike and
+raises DomainError when any intermediate stops being finite. With a
+finite input and finite constants, that happens only through an
+overflow, an invalid operation or a division by zero, so one
+floating-point error state around the whole evaluation replaces a check
+at every node. derivative() gives d/du as another Expression.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, Overflow, ParseError
 
 FUNCTIONS = {
     "exp": np.exp,
@@ -77,19 +85,52 @@ Node = Union[Num, Var, Neg, BinOp, Call]
 
 @dataclass(frozen=True)
 class Expression:
-    """An immutable parsed expression closed over a single variable."""
+    """An immutable parsed expression closed over a single variable,
+    compiled when built; a constant that is not finite raises ValueError."""
 
     root: Node
     var_name: str
+    _compiled: Callable = field(init=False, repr=False, compare=False, default=None)
+    _derivative: Optional["Expression"] = field(init=False, repr=False, compare=False,
+                                                default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", _compile(self.root))
 
     def __call__(self, x):
+        """The value at x, a scalar (returned as float) or an array.
+
+        Raises DomainError when x is not finite or an intermediate is not:
+        Overflow, a DomainError, when a value exceeds the float range.
+        """
         arr = np.asarray(x)
-        out = np.asarray(_eval(self.root, arr))
-        if out.shape != arr.shape:
-            out = np.broadcast_to(out, arr.shape)
+        # nan^0 and 1^nan are 1 and raise no flag: check the input itself
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise DomainError(f"{self.var_name} is not finite")
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+                out = np.asarray(self._compiled(arr))
+        except FloatingPointError as exc:
+            kind = Overflow if str(exc).startswith("overflow") else DomainError
+            raise kind(str(exc)) from None
         if arr.ndim == 0:
             return float(out)
-        return np.array(out, copy=True)
+        if out is arr or out.shape != arr.shape:
+            # the input itself, or a constant: return a fresh array
+            return np.array(np.broadcast_to(out, arr.shape))
+        return out
+
+    def derivative(self) -> "Expression":
+        """d/d(var) as an Expression, built on the first call and kept.
+
+        A power with an exponent free of the variable uses
+        c g^(c-1) g', so u^2 has the derivative 2*u, finite at 0. Where the
+        derivative is not finite (sqrt(u) at 0) it raises DomainError like
+        any other expression.
+        """
+        if self._derivative is None:
+            object.__setattr__(self, "_derivative", Expression(_diff(self.root), self.var_name))
+        return self._derivative
 
     def __str__(self):
         return _render(self.root)
@@ -186,7 +227,10 @@ class _Parser:
     def atom(self):
         tok = self.advance()
         if tok.kind == "number":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"constant {tok.text!r} is not finite", tok.pos)
+            return Num(value)
         if tok.kind == "name":
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
@@ -211,7 +255,8 @@ def parse(text: str, var_name: str = "u") -> Expression:
     """Parse expression text closed over ``var_name``.
 
     Raises ParseError (with character offset) on malformed input, unknown
-    functions, or a variable other than ``var_name``.
+    functions, a variable other than ``var_name``, or a constant that is
+    not finite (1e999).
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
@@ -221,29 +266,128 @@ def parse(text: str, var_name: str = "u") -> Expression:
     return Expression(_Parser(tokens, var_name).parse(), var_name)
 
 
-def _check_finite(value, what):
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"{what!r} produced a non-finite value")
+def _compile(node) -> Callable:
+    """node as a closure x -> value, dispatched on the node type once.
 
-
-def _eval(node, x):
+    Only numpy ufuncs touch the values, so the caller's error state sees
+    every overflow, invalid operation and division by zero; that holds for
+    finite constants only, so a tree with any other constant is refused.
+    """
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        if not math.isfinite(value):
+            raise ValueError(f"constant {value!r} is not finite")
+        return lambda x: value
     if isinstance(node, Var):
-        return x
+        return lambda x: x
     if isinstance(node, Neg):
-        return -_eval(node.operand, x)
+        inner = _compile(node.operand)
+        return lambda x: -inner(x)
     if isinstance(node, BinOp):
-        left = _eval(node.left, x)
-        right = _eval(node.right, x)
-        with np.errstate(all="ignore"):
-            value = _BINARY[node.op](left, right)
-        _check_finite(value, node.op)
-        return value
-    with np.errstate(all="ignore"):
-        value = FUNCTIONS[node.name](_eval(node.operand, x))
-    _check_finite(value, node.name)
-    return value
+        op, left, right = _BINARY[node.op], _compile(node.left), _compile(node.right)
+        return lambda x: op(left(x), right(x))
+    fn, inner = FUNCTIONS[node.name], _compile(node.operand)
+    return lambda x: fn(inner(x))
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivative
+
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _has_var(node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Num):
+        return False
+    if isinstance(node, BinOp):
+        return _has_var(node.left) or _has_var(node.right)
+    return _has_var(node.operand)
+
+
+def _diff(node):
+    """d/du of node; a subtree free of the variable has derivative 0."""
+    if not _has_var(node):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE
+    if isinstance(node, Neg):
+        return _neg(_diff(node.operand))
+    if isinstance(node, Call):
+        g, dg = node.operand, _diff(node.operand)
+        if node.name == "log":
+            return _div(dg, g)
+        if node.name == "sqrt":
+            return _div(dg, _mul(_TWO, node))
+        outer = {
+            "exp": node,
+            "sin": Call("cos", g),
+            "cos": _neg(Call("sin", g)),
+            "abs": _div(g, node),
+        }[node.name]
+        return _mul(outer, dg)
+    g, h = node.left, node.right
+    dg, dh = _diff(g), _diff(h)
+    if node.op == "+":
+        return _add(dg, dh)
+    if node.op == "-":
+        return _sub(dg, dh)
+    if node.op == "*":
+        return _add(_mul(dg, h), _mul(g, dh))
+    if node.op == "/":
+        # (g' - (g/h) h') / h: no h^2 to overflow
+        return _div(_sub(dg, _mul(node, dh)), h)
+    if not _has_var(h):
+        # c g^(c-1) g'; the general rule's log g fails at g = 0
+        c_minus_one = Num(h.value - 1.0) if isinstance(h, Num) else BinOp("-", h, _ONE)
+        return _mul(_mul(h, _pow(g, c_minus_one)), dg)
+    return _mul(node, _add(_mul(dh, Call("log", g)), _mul(h, _div(dg, g))))
+
+
+# constructors that drop the identities x+0, x*1, x*0, x/1, x^1, x^0
+
+
+def _is(node, value) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _neg(a):
+    if isinstance(a, Num):
+        return Num(-a.value)
+    return a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _add(a, b):
+    if _is(a, 0.0):
+        return b
+    return a if _is(b, 0.0) else BinOp("+", a, b)
+
+
+def _sub(a, b):
+    if _is(b, 0.0):
+        return a
+    return _neg(b) if _is(a, 0.0) else BinOp("-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
+        return b
+    return a if _is(b, 1.0) else BinOp("*", a, b)
+
+
+def _div(a, b):
+    if _is(a, 0.0):
+        return _ZERO
+    return a if _is(b, 1.0) else BinOp("/", a, b)
+
+
+def _pow(a, b):
+    if _is(b, 0.0):
+        return _ONE
+    return a if _is(b, 1.0) else BinOp("^", a, b)
 
 
 def _render(node):

@@ -26,7 +26,7 @@ from .errors import DomainError, InvalidConfig, SingularSystem
 from .expressions import Expression
 from .kernel import green
 from .quadrature import Quadrature, _sample, integrate
-from .solver import DiscreteFunction, _fd_derivative
+from .solver import DiscreteFunction
 
 
 def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> DiscreteFunction:
@@ -160,13 +160,15 @@ def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
                        max_iter: int = 100) -> FDSolution:
     """Newton iteration on the finite-difference system with y = f(u).
 
-    The Newton residual is assembled in extended precision: the scaled
-    fourth-difference rows sit at rounding level once the iterate is
-    close, and the bordered solve amplifies that noise by the inverse
-    operator, which stalls plain double-precision steps well above tol
-    for large solutions. Convergence is declared on the step norm
-    relative to max(1, ||u||). Non-convergence after max_iter steps is
-    reported on the returned solution, not raised.
+    The Jacobian takes f' from f.derivative(), so a start where f' is not
+    finite (sqrt(u) at 0) raises DomainError. The Newton residual is
+    assembled in extended precision: the scaled fourth-difference rows sit
+    at rounding level once the iterate is close, and the bordered solve
+    amplifies that noise by the inverse operator, which stalls plain
+    double-precision steps well above tol for large solutions. Convergence
+    is declared on the step norm relative to max(1, ||u||).
+    Non-convergence after max_iter steps is reported on the returned
+    solution, not raised.
     """
     grid = np.linspace(0.0, 1.0, n)
     avals = _sample(a, grid)
@@ -176,12 +178,13 @@ def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
         u = np.interp(grid, u0.nodes, u0.values)
     h = 1.0 / (n - 1)
     system = build_fd_system(np.zeros(n), avals, n)
+    df = f.derivative()
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = _fd_residual(u, f, avals, n)
         bands = system.bands.copy()
-        bands[2, 2:n - 2] += h**4 * _fd_derivative(f, u)[2:n - 2]
+        bands[2, 2:n - 2] += h**4 * df(u)[2:n - 2]
         step_system = FDSystem(n, h, bands, system.border_col, system.border_row,
                                system.border_diag, -residual)
         step = solve_fd_system(step_system)

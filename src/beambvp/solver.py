@@ -124,7 +124,8 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
     Stops when the undamped update ||Au - u|| drops below
     tol max(1, ||u||) (so a converged report always satisfies that bound)
     or when the iterate breaches the overflow guard, which sets the
-    diverged flag instead of raising.
+    diverged flag instead of raising. The reported residual is that of the
+    returned iterate.
     """
     if not 0.0 < omega <= 1.0:
         raise InvalidConfig("omega must lie in (0, 1]")
@@ -145,7 +146,7 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
         if np.max(np.abs(u)) > guard:
             diverged = True
             break
-    if not converged and not diverged:
+    if not converged:
         fp = float(np.max(np.abs(kmat @ f(u) - u)))
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
     return _finish_report(op, sol, converged, iterations, fp, "picard", diverged)
@@ -155,11 +156,12 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
            max_iter: int = 500) -> SolveReport:
     """Damped Newton on F(u) = u - Au, until ||F(u)|| <= tol max(1, ||u||).
 
-    The Jacobian I - K diag(f'(u)) uses central finite differences for
-    f' (step max(1e-6, 1e-6 |u|)); each step is halved until ||F||
-    decreases. Raises SingularJacobian if the linear solve fails.
+    The Jacobian I - K diag(f'(u)) takes f' from f.derivative(); each step
+    is halved until ||F|| decreases. Raises SingularJacobian if the linear
+    solve fails, and DomainError where f' is not finite (sqrt(u) at 0).
     """
     kmat, f = op.kmatrix, op.problem.f
+    df = f.derivative()
     guard = _overflow_guard(op)
     n = op.quad.npoints
     u = np.asarray(u0.values, dtype=float).copy()
@@ -169,7 +171,7 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
     fp = float(np.max(np.abs(residual)))
     while not _within_tol(fp, u, tol) and iterations < max_iter:
         iterations += 1
-        jac = np.eye(n) - kmat * _fd_derivative(f, u)[None, :]
+        jac = np.eye(n) - kmat * df(u)[None, :]
         try:
             step = np.linalg.solve(jac, -residual)
         except np.linalg.LinAlgError as exc:
@@ -276,15 +278,6 @@ def _within_tol(fp: float, u: np.ndarray, tol: float) -> bool:
 def _overflow_guard(op: NystromOperator) -> float:
     span = op.certificate.span
     return OVERFLOW_GUARD * max(1.0, span[1] if span else 0.0)
-
-
-def _fd_derivative(f, u):
-    """Central-difference f'(u) with magnitude-scaled step."""
-    h = np.maximum(1e-6, 1e-6 * np.abs(u))
-    try:
-        return (f(u + h) - f(u - h)) / (2.0 * h)
-    except DomainError:
-        return (f(u + h) - f(u)) / h
 
 
 def _finish_report(op, sol, converged, iterations, fp, method, diverged):

@@ -152,6 +152,30 @@ def test_solve_parse_error_exits_usage(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_constant_that_is_not_finite_exits_usage(tmp_path, capsys):
+    code = main(["solve", "--f", "1e999", "--a", "t", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: constant '1e999' is not finite (at position 0)\n")
+
+
+@pytest.mark.parametrize("f, sup, method", [
+    ("u^2*exp(u)", 5.9217, "newton"), ("exp(u)", 0.022478, "picard")])
+def test_solve_past_an_overflow_of_f(tmp_path, f, sup, method):
+    # f overflows inside [0, 1e3]; that ends the sampled range, not the run
+    assert main(["solve", "--f", f, "--a", "t", "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["positive"] and report["method"] == method
+    assert report["sup_norm"] == pytest.approx(sup, rel=1e-4)
+
+
+@pytest.mark.parametrize("f", ["sqrt(u-0.01)", "log(u)", "exp(u)+sqrt(u-0.5)"])
+def test_solve_f_outside_its_domain_exits_hypothesis(tmp_path, capsys, f):
+    # an invalid operation or a division by zero before any overflow
+    assert main(["solve", "--f", f, "--a", "t", "--out", str(tmp_path)]) == EXIT_HYPOTHESIS
+    assert capsys.readouterr().out.startswith("hypothesis violation: f is not finite at u = ")
+
+
 def test_missing_expression_exits_usage(tmp_path):
     assert main(["solve", "--a", "t", "--out", str(tmp_path)]) == EXIT_USAGE
 
@@ -352,3 +376,18 @@ def test_config_that_is_a_directory_exits_usage(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith(f"error: cannot read config file {tmp_path}: ")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("f, code", [
+    (F_SUPER, EXIT_OK), (F_SUB, EXIT_OK), ("u^2*exp(u)", EXIT_OK), ("1e999", EXIT_USAGE)])
+def test_cold_solve_emits_no_runtime_warning(tmp_path, f, code):
+    # with RuntimeWarning an error, any warning that escaped the evaluator or
+    # the solver would end the process with a traceback
+    import subprocess
+    import sys
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "beambvp", "solve",
+         "--f", f, "--a", "t", "--out", str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beambvp.errors import DomainError, ParseError
-from beambvp.expressions import BinOp, Call, Expression, Neg, Num, Var, parse
+from beambvp.errors import DomainError, Overflow, ParseError
+from beambvp.expressions import FUNCTIONS, BinOp, Call, Expression, Neg, Num, Var, parse
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -70,6 +70,7 @@ def test_constant_expression_broadcasts():
     ("u+v", 2),         # wrong variable
     ("2 3", 2),         # stray token (no implicit multiplication)
     ("", 0),
+    ("u+1e999", 2),     # a constant that is not finite
 ])
 def test_parse_errors_carry_position(text, pos):
     with pytest.raises(ParseError) as err:
@@ -100,6 +101,75 @@ def test_domain_errors(text, x):
         parse(text, "u")(x)
 
 
+@pytest.mark.parametrize("text,x,kind", [
+    ("exp(u)", 1e3, Overflow),
+    ("u*u", 1e200, Overflow),
+    ("log(u)", 0.0, DomainError),
+    ("sqrt(u)", -1.0, DomainError),
+    ("1/u", 0.0, DomainError),
+])
+def test_overflow_is_told_apart(text, x, kind):
+    with pytest.raises(DomainError) as err:
+        parse(text, "u")(x)
+    assert err.type is kind
+
+
+@pytest.mark.parametrize("text", ["u", "u^0", "1^u", "0*u+1", "1"])
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan])])
+def test_input_that_is_not_finite_raises(text, x):
+    # nan^0 and 1^nan are 1 and raise no floating-point flag
+    e = parse(text, "u")
+    for g in (e, e.derivative()):
+        with pytest.raises(DomainError):
+            g(x)
+
+
+def test_tree_with_a_constant_that_is_not_finite_is_refused():
+    with pytest.raises(ValueError):
+        Expression(BinOp("+", Var("u"), Num(math.inf)), "u")
+
+
+def test_evaluation_returns_a_fresh_array():
+    x = np.linspace(0.0, 1.0, 4)
+    for text in ("u", "2", "u+0"):
+        y = parse(text, "u")(x)
+        y[:] = -1.0
+        assert np.all(x >= 0.0)
+
+
+@pytest.mark.parametrize("text,x,expected", [
+    ("u^2", 0.0, 0.0),            # c g^(c-1) g', not the log g of the general rule
+    ("u^2", 3.0, 6.0),
+    ("u^1.5", 0.0, 0.0),
+    ("3*u", 2.0, 3.0),
+    ("0*u+1", 2.0, 0.0),
+    ("exp(2*u)", 0.0, 2.0),
+    ("log(u)", 4.0, 0.25),
+    ("sqrt(u)", 4.0, 0.25),
+    ("sin(u)+cos(u)", 0.0, 1.0),
+    ("abs(u)", -2.0, -1.0),
+    ("u/(1+u)", 1.0, 0.25),
+    ("2^u", 0.0, math.log(2.0)),
+    ("u^u", 1.0, 1.0),
+    ("u^(1+1)", -3.0, -6.0),
+])
+def test_derivative_values(text, x, expected):
+    assert parse(text, "u").derivative()(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("text,x", [("sqrt(u)", 0.0), ("u^0.5", 0.0), ("abs(u)", 0.0),
+                                    ("log(u)", 0.0)])
+def test_derivative_that_is_not_finite_raises(text, x):
+    with pytest.raises(DomainError):
+        parse(text, "u").derivative()(x)
+
+
+def test_derivative_is_built_once():
+    e = parse("u^2*(exp(-u)+1)", "u")
+    assert e.derivative() is e.derivative()
+    assert e.derivative().var_name == "u"
+
+
 def test_expressions_are_immutable():
     e = parse("u+1", "u")
     with pytest.raises(AttributeError):
@@ -128,8 +198,98 @@ def _outcome(expr, x):
         return "domain-error"
 
 
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+def _walk(node, x):
+    """Reference evaluation: every node's value is checked for finiteness."""
+    with np.errstate(all="ignore"):
+        if isinstance(node, Num):
+            value = node.value
+        elif isinstance(node, Var):
+            value = x
+        elif isinstance(node, Neg):
+            value = -_walk(node.operand, x)
+        elif isinstance(node, BinOp):
+            value = _BINARY[node.op](_walk(node.left, x), _walk(node.right, x))
+        else:
+            value = FUNCTIONS[node.name](_walk(node.operand, x))
+    if not np.all(np.isfinite(value)):
+        raise DomainError("non-finite intermediate")
+    return value
+
+
+def _reference(expr, x):
+    arr = np.asarray(x)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("non-finite input")
+    return np.broadcast_to(_walk(expr.root, arr), arr.shape)
+
+
+_trees = st.recursive(_leaf, _extend, max_leaves=12)
+_points = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 700.0, 1e10]),
+                             st.floats(allow_nan=True, allow_infinity=True)),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trees, _points, st.sampled_from([np.float64, np.longdouble]))
+def test_compiled_evaluation_matches_the_per_node_walk(root, xs, dtype):
+    # one error state around the closure raises exactly where a check at
+    # every node would, and otherwise gives the same values
+    expr, x = Expression(root, "u"), np.asarray(xs, dtype=dtype)
+    try:
+        expected = _reference(expr, x)
+    except DomainError:
+        with pytest.raises(DomainError):
+            expr(x)
+        return
+    got = expr(x)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.floats(min_value=-10.0, max_value=10.0))
+def test_derivative_matches_a_central_difference(root, x):
+    # Compared where the stencil resolves f: the second and third derivatives
+    # move f' by under 0.1% across it, and the differences at two steps agree
+    # within 0.1% (no fast oscillation, pole or jump inside). f'(x) may then
+    # differ from the central difference, the mean of f' over the stencil, by
+    # the spread of f' there (a kink inside), its truncation error (bounded
+    # by the gap between the two steps), a small share of f' and rounding.
+    expr = Expression(root, "u")
+    df = expr.derivative()
+    h = 1e-5 * max(1.0, abs(x))
+    try:
+        d = [df(x + k * h) for k in (-1, 0, 1)]
+        drift = abs(df.derivative()(x)) * h + abs(df.derivative().derivative()(x)) * h * h
+        f = [expr(x + k * h / 2.0) for k in (-2, -1, 1, 2)]
+        coarse = (f[3] - f[0]) / (2.0 * h)
+        fine = (f[2] - f[1]) / h
+    except DomainError:
+        return
+    if not (math.isfinite(coarse) and math.isfinite(fine) and math.isfinite(drift)):
+        return
+    if drift > 1e-3 * abs(d[1]) or abs(coarse - fine) > 1e-3 * max(abs(coarse), abs(fine)):
+        return
+    # rounding relative to the largest intermediate, which cancellation can
+    # hide from f itself, and the absolute spacing of subnormal values
+    scale = max(_largest_intermediate(root, x + k * h / 2.0) for k in (-2, -1, 1, 2))
+    rounding = (1e-12 * scale + 1e-300) / h + 1e-12 * _largest_intermediate(df.root, x)
+    bound = (max(d) - min(d)) + 3.0 * abs(coarse - fine) + 1e-4 * abs(d[1]) + rounding
+    assert abs(d[1] - fine) <= bound
+
+
+def _largest_intermediate(node, x):
+    children = ((node.left, node.right) if isinstance(node, BinOp)
+                else (node.operand,) if isinstance(node, (Neg, Call)) else ())
+    return max([abs(float(_walk(node, x)))]
+               + [_largest_intermediate(child, x) for child in children])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.recursive(_leaf, _extend, max_leaves=12))
+@given(_trees)
 def test_pretty_print_round_trip(root):
     original = Expression(root, "u")
     reparsed = parse(str(original), "u")

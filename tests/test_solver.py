@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from beambvp import solver
 from beambvp.analysis import make_problem
 from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, OutOfDomain
+from beambvp.expressions import Expression
 from beambvp.kernel import green, kernel_weight
 from beambvp.oracle import fd_solve_nonlinear
 from beambvp.quadrature import make_quadrature
@@ -375,6 +374,16 @@ def test_diverged_report_estimate_is_inf():
     assert report.error_estimate == np.inf
 
 
+def test_diverged_picard_reports_the_residual_of_its_solution():
+    # without a witness the guard is 1e12; Picard from 0.1 grows past it
+    p = make_problem("1e4*u^2+sqrt(u-0.01)", "t", 0.25)
+    op = build_operator(p)
+    report = picard(op, constant_start(op, 0.1), omega=0.8)
+    assert report.diverged
+    u = report.solution.values
+    assert report.fp_residual == float(np.max(np.abs(op.kmatrix @ p.f(u) - u)))
+
+
 def test_diverged_report_is_not_positive():
     # Picard overflows to sup ~ 1.8e24 from a nonnegative iterate in the cone;
     # a report that did not converge is never positive
@@ -454,19 +463,31 @@ def test_solve_auto_is_scale_free(k):
     assert 140.0 <= 10.0**k * report.solution.sup_norm() <= 295.0
 
 
+def test_newton_fails_where_the_derivative_is_not_finite():
+    # sqrt(u) has f' = 1/(2 sqrt(u)), not finite at 0: that start fails the
+    # way a start that drives f out of its domain does
+    op = build_operator(make_problem("sqrt(u)", "t", 0.25))
+    u0 = constant_start(op, 1.0)
+    u0.values[0] = 0.0
+    with pytest.raises(DomainError):
+        newton(op, u0)
+
+
 @pytest.mark.parametrize("f, c", [("0*u+2", 5.0), (F_SUB, 1.0)])
-def test_newton_evaluates_one_residual_per_iterate(f, c):
-    # the start's residual, then two evaluations for each finite-difference
-    # Jacobian and one for each line-search trial; both runs take full steps
+def test_newton_evaluates_one_residual_per_iterate(f, c, monkeypatch):
+    # f: the start's residual, then one line-search trial per step (both runs
+    # take full steps); f': one Jacobian per step
     p = make_problem(f, "t", 0.25)
     op = build_operator(p)
-    calls = []
+    df = p.f.derivative()
+    calls = {"f": 0, "df": 0}
+    real = Expression.__call__
 
-    def counting(u):
-        calls.append(np.size(u))
-        return p.f(u)
+    def counting(self, x):
+        calls["f" if self is p.f else "df" if self is df else "other"] += 1
+        return real(self, x)
 
-    op.problem = replace(p, f=counting)
+    monkeypatch.setattr(Expression, "__call__", counting)
     report = newton(op, constant_start(op, c))
-    assert report.converged
-    assert len(calls) == 1 + 3 * report.iterations
+    assert report.converged and report.iterations >= 1
+    assert calls == {"f": 1 + report.iterations, "df": report.iterations}
