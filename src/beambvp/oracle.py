@@ -7,9 +7,11 @@ u(0) = integral a u:
   splitting the Green's integral at the kernel's diagonal kink so smooth
   forcings are integrated at full rule accuracy;
 * fd_solve_linear discretizes the differential equation directly on a
-  uniform grid (5-point interior stencil, one-sided second-order
-  boundary stencils, trapezoid weights in the nonlocal row) and never
-  touches the kernel.
+  uniform grid and never touches the kernel. It works in mixed form,
+  u'' = v and v'' = -y, with 3-point interior stencils, one-sided
+  second-order slopes at both ends and trapezoid weights in the nonlocal
+  row. Its residual cancels only to O(h^2 u''), so double precision
+  suffices at every grid the oracle is used on.
 
 Disagreement between the two exposes a bug in either. fd_solve_nonlinear
 extends the second path to u'''' + f(u) = 0 by Newton iteration.
@@ -56,23 +58,6 @@ def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> Discret
 
 
 @dataclass
-class FDSystem:
-    """Banded core plus one dense nonlocal row, in scaled form.
-
-    Interior rows hold the raw 5-point stencil (the h^4 factor moves to
-    the right-hand side); the last row encodes u(0) = trapezoid(a u).
-    """
-
-    n: int
-    h: float
-    bands: np.ndarray        # (5, n-1) diagonal-ordered core, offsets +2..-2
-    border_col: np.ndarray   # column n-1 of the first n-1 rows
-    border_row: np.ndarray   # dense last row over columns 0..n-2
-    border_diag: float       # A[n-1, n-1]
-    rhs: np.ndarray
-
-
-@dataclass
 class FDSolution(DiscreteFunction):
     """Grid solution carrying the Newton convergence record."""
 
@@ -80,55 +65,95 @@ class FDSolution(DiscreteFunction):
     iterations: int = 0
 
 
-def build_fd_system(yvals: np.ndarray, avals: np.ndarray, n: int) -> FDSystem:
-    """Assemble the linear system for forcing samples y on the uniform grid."""
+# Unknowns u_i and v_i = u''(t_i) are interleaved, x[2i] = u_i and
+# x[2i + 1] = v_i, and row k of the system goes with unknown k. An
+# interior node's u-row holds u'' - v = 0 and its v-row v'' + f(u) = 0,
+# both 3-point and scaled by h^2. The end nodes' rows hold u'(0) = 0 and
+# v(0) = 0, then u'(1) = 0 (both slopes one-sided, second order) and the
+# dense nonlocal row u(0) = trapezoid(a u). The bordered solve eliminates
+# that last row and the column of u_{n-1}, leaving a core banded with 4
+# sub- and 4 super-diagonals. A v_{n-1} border would leave the core
+# singular: without the nonlocal row, constant u solves it.
+_LOWER = _UPPER = 4
+
+
+def fd_solve_linear(y, a: Expression, n: int) -> DiscreteFunction:
+    """Direct finite-difference solution of the linear problem: one step
+    from zero on the mixed system, with y as the load."""
+    grid, weights, bands, border = _fd_setup(a, n)
+    zero = np.zeros(n)
+    x = _bordered_solve(bands, border, -_fd_residual(zero, zero, _sample(y, grid[1:-1]), weights))
+    return DiscreteFunction(grid, x[0::2])
+
+
+def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
+                       u0: DiscreteFunction = None, tol: float = 1e-10,
+                       max_iter: int = 100) -> FDSolution:
+    """Newton iteration on the finite-difference system with load f(u).
+
+    u starts from u0 (or zero), v from zero. The Jacobian is the linear
+    system's matrix plus h^2 f'(u) in the v-rows, with f' from
+    f.derivative(), so a start where f' is not finite (sqrt(u) at 0)
+    raises DomainError. Convergence is declared on the step norm of u
+    relative to max(1, ||u||). Non-convergence after max_iter steps is
+    reported on the returned solution, not raised.
+    """
+    grid, weights, bands, border = _fd_setup(a, n)
+    h2 = (1.0 / (n - 1)) ** 2
+    u = np.zeros(n) if u0 is None else np.interp(grid, u0.nodes, u0.values)
+    v = np.zeros(n)
+    df = f.derivative()
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        jacobian = bands.copy()
+        jacobian[_UPPER + 1, 2:-2:2] += h2 * df(u[1:-1])
+        step = _bordered_solve(jacobian, border, -_fd_residual(u, v, f(u[1:-1]), weights))
+        u = u + step[0::2]
+        v = v + step[1::2]
+        if float(np.max(np.abs(step[0::2]))) <= tol * max(1.0, float(np.max(np.abs(u)))):
+            converged = True
+            break
+    return FDSolution(grid, u, converged=converged, iterations=iterations)
+
+
+def _fd_setup(a, n):
+    """The grid, the nonlocal row's trapezoid weights times a, and the
+    system's matrix in bordered form: the core's bands and the border
+    (core column of u_{n-1}, nonlocal row over the core columns, its
+    u_{n-1} entry)."""
     if n < 21:
         raise InvalidConfig("finite-difference grid needs n >= 21")
+    grid = np.linspace(0.0, 1.0, n)
     h = 1.0 / (n - 1)
-    m = n - 1
-    bands = np.zeros((5, m))
-    # offsets: bands[0] -> +2, bands[1] -> +1, bands[2] -> 0, bands[3] -> -1, bands[4] -> -2
-    for i in range(2, n - 2):
-        _band_set(bands, i, i - 2, 1.0, m)
-        _band_set(bands, i, i - 1, -4.0, m)
-        _band_set(bands, i, i, 6.0, m)
-        _band_set(bands, i, i + 1, -4.0, m)
-        _band_set(bands, i, i + 2, 1.0, m)
-    # u'(0) = 0 and u''(0) = 0, one-sided second order
-    _band_set(bands, 0, 0, -3.0, m)
-    _band_set(bands, 0, 1, 4.0, m)
-    _band_set(bands, 0, 2, -1.0, m)
-    _band_set(bands, 1, 0, 2.0, m)
-    _band_set(bands, 1, 1, -5.0, m)
-    _band_set(bands, 1, 2, 4.0, m)
-    _band_set(bands, 1, 3, -1.0, m)
-    # u'(1) = 0, backward second order: 3u_{n-1} - 4u_{n-2} + u_{n-3};
-    # the u_{n-1} coefficient lives in the border column
-    _band_set(bands, n - 2, n - 3, 1.0, m)
-    _band_set(bands, n - 2, n - 2, -4.0, m)
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = h / 2.0
+    weights *= _sample(a, grid)
 
-    border_col = np.zeros(m)
-    border_col[n - 3] = 1.0   # interior stencil at i = n-3 reaches column n-1
-    border_col[n - 2] = 3.0   # u'(1) row
-    trapz = np.full(n, h)
-    trapz[0] = trapz[-1] = h / 2.0
-    dense = -trapz * avals
-    dense[0] += 1.0
-    border_row = dense[:m]
-    border_diag = float(dense[-1])
-
-    rhs = np.zeros(n)
-    rhs[2:n - 2] = -h**4 * yvals[2:n - 2]
-    return FDSystem(n, h, bands, border_col, border_row, border_diag, rhs)
+    ui = 2 * np.arange(1, n - 1)   # u-rows and u-columns of interior nodes
+    vi = ui + 1
+    last = 2 * n - 2               # u_{n-1}
+    ones = np.ones(n - 2)
+    rows = np.concatenate([[0, 0, 0, 1], ui, ui, ui, ui, vi, vi, vi, [last] * 3])
+    cols = np.concatenate([[0, 2, 4, 1], ui - 2, ui, ui + 2, vi,
+                           vi - 2, vi, vi + 2, [last - 4, last - 2, last]])
+    vals = np.concatenate([[-3.0, 4.0, -1.0, 1.0], ones, -2.0 * ones, ones, -h * h * ones,
+                           ones, -2.0 * ones, ones, [1.0, -4.0, 3.0]])
+    border = cols == last
+    cols[cols == last + 1] = last  # v_{n-1} is the core's last column
+    bands = np.zeros((_LOWER + _UPPER + 1, last + 1))
+    bands[_UPPER + rows[~border] - cols[~border], cols[~border]] = vals[~border]
+    border_col = np.zeros(last + 1)
+    border_col[rows[border]] = vals[border]
+    border_row = np.zeros(last + 1)
+    border_row[0:last:2] = -weights[:-1]
+    border_row[0] += 1.0
+    return grid, weights, bands, (border_col, border_row, -weights[-1])
 
 
-def _band_set(bands, i, j, value, m):
-    if 0 <= j < m:
-        bands[2 + i - j, j] = value
-
-
-def solve_fd_system(system: FDSystem) -> np.ndarray:
-    """Bordered solve: factor the banded core, eliminate the dense row.
+def _bordered_solve(bands, border, rhs):
+    """x solving the system for rhs: the banded core is solved for rhs
+    and for the border column at once, then the nonlocal row eliminated.
 
     scipy is imported here, not at module level: only the oracle needs
     it, and loading scipy.linalg would dominate the start-up of every
@@ -136,78 +161,35 @@ def solve_fd_system(system: FDSystem) -> np.ndarray:
     """
     from scipy.linalg import solve_banded
 
+    border_col, border_row, corner = border
     try:
-        z = solve_banded((2, 2), system.bands, system.rhs[:-1])
-        w = solve_banded((2, 2), system.bands, system.border_col)
+        z, w = solve_banded((_LOWER, _UPPER), bands,
+                            np.column_stack([rhs[:-1], border_col])).T
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"banded factorization failed: {exc}") from exc
-    denom = system.border_diag - system.border_row @ w
+    denom = corner - border_row @ w
     if abs(denom) < 1e-14:
         raise SingularSystem("bordered elimination hit a zero pivot")
-    u_last = (system.rhs[-1] - system.border_row @ z) / denom
-    return np.concatenate([z - u_last * w, [u_last]])
+    u_last = (rhs[-1] - border_row @ z) / denom
+    x = np.append(z - u_last * w, u_last)
+    x[[-2, -1]] = x[[-1, -2]]      # back to x's order: u_{n-1}, v_{n-1}
+    return x
 
 
-def fd_solve_linear(y, a: Expression, n: int) -> DiscreteFunction:
-    """Direct finite-difference solution of the linear problem."""
-    grid = np.linspace(0.0, 1.0, n)
-    system = build_fd_system(_sample(y, grid), _sample(a, grid), n)
-    return DiscreteFunction(grid, solve_fd_system(system))
+def _fd_residual(u, v, load, weights):
+    """The system's rows at (u, v), for the load at the interior nodes.
 
-
-def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
-                       u0: DiscreteFunction = None, tol: float = 1e-10,
-                       max_iter: int = 100) -> FDSolution:
-    """Newton iteration on the finite-difference system with y = f(u).
-
-    The Jacobian takes f' from f.derivative(), so a start where f' is not
-    finite (sqrt(u) at 0) raises DomainError. The Newton residual is
-    assembled in extended precision: the scaled fourth-difference rows sit
-    at rounding level once the iterate is close, and the bordered solve
-    amplifies that noise by the inverse operator, which stalls plain
-    double-precision steps well above tol for large solutions. Convergence
-    is declared on the step norm relative to max(1, ||u||).
-    Non-convergence after max_iter steps is reported on the returned
-    solution, not raised.
+    Second differences are taken nested, as differences of first
+    differences, so neighbouring values subtract exactly; the row sum
+    u_- - 2u + u_+ would round at eps |u|, which the inverse operator
+    (~n^2) amplifies.
     """
-    grid = np.linspace(0.0, 1.0, n)
-    avals = _sample(a, grid)
-    if u0 is None:
-        u = np.zeros(n)
-    else:
-        u = np.interp(grid, u0.nodes, u0.values)
-    h = 1.0 / (n - 1)
-    system = build_fd_system(np.zeros(n), avals, n)
-    df = f.derivative()
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        residual = _fd_residual(u, f, avals, n)
-        bands = system.bands.copy()
-        bands[2, 2:n - 2] += h**4 * df(u)[2:n - 2]
-        step_system = FDSystem(n, h, bands, system.border_col, system.border_row,
-                               system.border_diag, -residual)
-        step = solve_fd_system(step_system)
-        u = u + step
-        if float(np.max(np.abs(step))) <= tol * max(1.0, float(np.max(np.abs(u)))):
-            converged = True
-            break
-    return FDSolution(grid, u, converged=converged, iterations=iterations)
-
-
-def _fd_residual(u, f, avals, n):
-    """Nonlinear system residual, accumulated in extended precision."""
-    ld = np.longdouble
-    ul = u.astype(ld)
-    h = ld(1) / ld(n - 1)
-    fu = np.asarray(f(ul), dtype=ld)
-    r = np.zeros(n, dtype=ld)
-    r[2:n - 2] = (ul[:n - 4] - 4 * ul[1:n - 3] + 6 * ul[2:n - 2]
-                  - 4 * ul[3:n - 1] + ul[4:]) + h**4 * fu[2:n - 2]
-    r[0] = -3 * ul[0] + 4 * ul[1] - ul[2]
-    r[1] = 2 * ul[0] - 5 * ul[1] + 4 * ul[2] - ul[3]
-    r[n - 2] = 3 * ul[n - 1] - 4 * ul[n - 2] + ul[n - 3]
-    trapz = np.full(n, h, dtype=ld)
-    trapz[0] = trapz[-1] = h / 2
-    r[n - 1] = ul[0] - np.dot(trapz * avals.astype(ld), ul)
-    return r.astype(float)
+    h2 = (1.0 / (len(u) - 1)) ** 2
+    r = np.empty(2 * len(u))
+    r[0] = -3.0 * u[0] + 4.0 * u[1] - u[2]
+    r[1] = v[0]
+    r[2:-2:2] = np.diff(u, 2) - h2 * v[1:-1]
+    r[3:-2:2] = np.diff(v, 2) + h2 * load
+    r[-2] = u[-3] - 4.0 * u[-2] + 3.0 * u[-1]
+    r[-1] = u[0] - weights @ u
+    return r
