@@ -16,24 +16,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, HypothesisViolation, InvalidConfig, Overflow
+from .errors import DomainError, InvalidConfig, Overflow
 from .expressions import Expression, parse
+from .kernel import ALPHA_MARGIN, _check_alpha
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 
 # the witness grid: GRID_DENSITY samples per decade on [GRID_LO, GRID_HI]
 GRID_DENSITY = 8
 GRID_LO, GRID_HI = 1e-150, 1e150
-# 1 - alpha divides the kernel weight, and quadrature rounding can land an
-# inadmissible weight a hair inside the open window (0, 1)
-ALPHA_MARGIN = 1e-12
-
-
-def _check_alpha(alpha: float) -> float:
-    """alpha, if 1/(1 - alpha) may scale the nonlocal weight: raises
-    HypothesisViolation unless 0 <= alpha < 1 - ALPHA_MARGIN (a zero a passes)."""
-    if not 0.0 <= alpha < 1.0 - ALPHA_MARGIN:
-        raise HypothesisViolation(f"alpha = {alpha} outside [0, 1 - {ALPHA_MARGIN})")
-    return alpha
+# validate_hypotheses samples f at F_SAMPLES points of [0, F_SAMPLE_MAX]
+F_SAMPLE_MAX = 1e3
+F_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,7 +39,6 @@ class ConeConstants:
     dominates gamma times its sup norm.
     """
 
-    theta: float
     alpha: float
     beta: float
     gamma: float
@@ -81,7 +73,7 @@ def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -
     quad = quad if quad is not None else default_quadrature()
     alpha = integrate(a, quad)
     beta = integrate_on(a, theta, 1.0 - theta, quad)
-    cone = ConeConstants(theta, alpha, beta, theta**3 * (1.0 - alpha + beta))
+    cone = ConeConstants(alpha, beta, theta**3 * (1.0 - alpha + beta))
     return Problem(f, a, theta, cone, quad)
 
 
@@ -101,20 +93,17 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_hypotheses(problem: Problem, u_max: float = 1e3,
-                        n_samples: int = 10_000) -> ValidationReport:
+def validate_hypotheses(problem: Problem) -> ValidationReport:
     """Sample-based admissibility check.
 
     Continuity cannot be tested numerically; dense sampling of f on
-    [0, u_max] and of a on [0, 1] is the testable surrogate. An overflow
-    of f ends its sampled range, since f may be continuous past the float
-    range; an invalid operation or a division by zero is a violation.
-    Violations are returned as data, never raised.
+    [0, F_SAMPLE_MAX] and of a on [0, 1] is the testable surrogate. An
+    overflow of f ends its sampled range, since f may be continuous past
+    the float range; an invalid operation or a division by zero is a
+    violation. Violations are returned as data, never raised.
     """
-    if u_max <= 0 or n_samples < 2:
-        raise InvalidConfig("u_max must be positive and n_samples >= 2")
     found = []
-    grid = np.linspace(0.0, u_max, n_samples)
+    grid = np.linspace(0.0, F_SAMPLE_MAX, F_SAMPLES)
     us, fv, failure = _finite_samples(problem.f, grid)
     if failure is not None and not isinstance(failure, Overflow):
         at = float(grid[us.size])
@@ -122,7 +111,7 @@ def validate_hypotheses(problem: Problem, u_max: float = 1e3,
     if np.any(fv < 0.0):
         at = float(us[int(np.argmin(fv))])
         found.append(Violation("f-negative", f"f({at}) = {float(np.min(fv))} < 0", at))
-    ts = np.linspace(0.0, 1.0, min(n_samples, 2001))
+    ts = np.linspace(0.0, 1.0, 2001)
     try:
         av = np.asarray(problem.a(ts))
         if np.any(av < 0.0):
@@ -199,8 +188,7 @@ def certificate(problem: Problem) -> Certificate:
     or the largest expansion radius below the first compression radius.
     Raises HypothesisViolation unless 0 <= alpha < 1, as build_operator does.
     """
-    cone = problem.cone
-    theta = cone.theta
+    cone, theta = problem.cone, problem.theta
     _check_alpha(cone.alpha)
     epsilon_max = 6.0 * (1.0 - cone.alpha)
     shell = (1.0 - 2.0 * theta) * (0.5 + theta - theta**2)

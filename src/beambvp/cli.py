@@ -19,7 +19,7 @@ from .config import RunConfig
 from .errors import BeamBVPError, HypothesisViolation, InvalidConfig
 from .expressions import parse
 from .kernel import green, kernel_weight, lower_envelope, upper_envelope
-from .quadrature import integrate, make_quadrature
+from .quadrature import make_quadrature
 from .solver import apply, solve_auto
 from .verify import run_checks
 
@@ -189,9 +189,7 @@ def cmd_green(cfg: RunConfig, grid_m: int) -> int:
     ss = np.linspace(0.0, 1.0, grid_m)
     quad = make_quadrature(cfg.rule, cfg.panels, cfg.points)
     if cfg.a_text:
-        a = parse(cfg.a_text, "t")
-        alpha = integrate(a, quad)
-        weights = np.atleast_1d(kernel_weight(ss, a, alpha, quad))
+        weights = kernel_weight(ss, parse(cfg.a_text, "t"), quad)
     else:
         weights = np.zeros_like(ss)
     gmat = green(ts[:, None], ss[None, :])

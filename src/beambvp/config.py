@@ -1,8 +1,7 @@
 """Run configuration: defaults, validation, and the on-disk format.
 
 Configs are plain INI files with [problem], [quadrature], [solver] and
-[output] sections; expression values are quoted. Every field written by
-to_file is read back verbatim by from_file.
+[output] sections; expression values may be quoted.
 """
 
 from __future__ import annotations
@@ -47,15 +46,6 @@ class RunConfig:
             raise InvalidConfig("max_iter, panels and points must be positive")
         return self
 
-    def to_file(self, path) -> None:
-        cp = configparser.ConfigParser()
-        for section, names in _SECTIONS.items():
-            cp[section] = {}
-            for name in names:
-                cp[section][name] = _format(name, getattr(self, name))
-        with open(path, "w") as handle:
-            cp.write(handle)
-
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
@@ -83,16 +73,6 @@ class RunConfig:
     def override(self, **changes) -> "RunConfig":
         actual = {k: v for k, v in changes.items() if v is not None}
         return replace(self, **actual)
-
-
-def _format(name, value):
-    if name in ("f_text", "a_text"):
-        return f'"{value}"'
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _parse(name, raw):

@@ -7,18 +7,44 @@ u(0) = integral_0^1 a(s) u(s) ds, the solution is
 
 with the triangular Green's function G and the t-independent nonlocal
 weight W(s) = (1/(1-alpha)) integral_0^1 a(tau) G(tau, s) dtau,
-alpha = integral_0^1 a. This module evaluates G, its envelopes and the
-weight.
+alpha = integral_0^1 a. This module evaluates G and its envelopes, and
+it is the one place the integral condition enters: it owns the window
+that alpha must lie in and the nonlocal sum that gives both W and the
+constant the condition adds to a Green's integral.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import _check_alpha
-from .errors import OutOfDomain
+from .errors import HypothesisViolation, OutOfDomain
 from .expressions import Expression
-from .quadrature import Quadrature
+from .quadrature import Quadrature, _sample
+
+# 1 - alpha divides the nonlocal sum, and quadrature rounding can land an
+# inadmissible weight a hair inside the open window (0, 1)
+ALPHA_MARGIN = 1e-12
+
+
+def _check_alpha(alpha: float) -> float:
+    """alpha, if 1/(1 - alpha) may scale the nonlocal weight: raises
+    HypothesisViolation unless 0 <= alpha < 1 - ALPHA_MARGIN (a zero a passes)."""
+    if not 0.0 <= alpha < 1.0 - ALPHA_MARGIN:
+        raise HypothesisViolation(f"alpha = {alpha} outside [0, 1 - {ALPHA_MARGIN})")
+    return alpha
+
+
+def _nonlocal_sum(a, q: Quadrature, g):
+    """sum_i a(s_i) w_i g[i] / (1 - alpha) over the rule's nodes s_i, with
+    alpha = sum_i a(s_i) w_i on the same rule.
+
+    With g[i] = G(s_i, s) this is W(s). With g[i] = (Gy)(s_i) it is the
+    constant c that makes u = Gy + c meet u(0) = integral a u, since
+    G(0, s) = 0. Raises HypothesisViolation unless 0 <= alpha < 1.
+    """
+    avals = _sample(a, q.nodes)
+    alpha = _check_alpha(float(np.dot(q.weights, avals)))
+    return (avals * q.weights) @ g / (1.0 - alpha)
 
 
 def green(t, s):
@@ -65,14 +91,9 @@ def strip_lower_bound(theta, s):
     return v if v.ndim else float(v)
 
 
-def kernel_weight(s, a: Expression, alpha: float, q: Quadrature):
-    """Nonlocal weight W(s) = (1/(1-alpha)) integral a(tau) G(tau, s) dtau.
-
-    alpha = 0 (identically zero weight) is admitted here so kernel-level
-    tests can exercise the plain Green's function.
-    """
-    _check_alpha(alpha)
+def kernel_weight(s, a: Expression, q: Quadrature):
+    """Nonlocal weight W(s) = (1/(1-alpha)) integral a(tau) G(tau, s) dtau
+    on the rule q. A zero a (alpha = 0, W = 0) is admitted."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    coeff = np.asarray(a(q.nodes)) * q.weights
-    w = coeff @ green(q.nodes[:, None], s_arr[None, :]) / (1.0 - alpha)
+    w = _nonlocal_sum(a, q, green(q.nodes[:, None], s_arr[None, :]))
     return w if np.ndim(s) else float(w[0])

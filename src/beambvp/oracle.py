@@ -23,12 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _check_alpha
 from .errors import DomainError, InvalidConfig, SingularSystem
 from .expressions import Expression
-from .kernel import green
-from .quadrature import Quadrature, _sample, integrate
+from .kernel import _nonlocal_sum, green
+from .quadrature import Quadrature, _sample
 from .solver import DiscreteFunction
+
+# fd_solve_nonlinear's Newton stops once a step moves u by at most
+# FD_TOL max(1, ||u||), and gives up after FD_MAX_ITER steps
+FD_TOL = 1e-10
+FD_MAX_ITER = 100
 
 
 def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> DiscreteFunction:
@@ -42,7 +46,6 @@ def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> Discret
     when alpha is outside the window that 1/(1 - alpha) admits.
     """
     ts = np.atleast_1d(np.asarray(eval_nodes, dtype=float))
-    alpha = _check_alpha(integrate(a, q))
     # Gy at the evaluation points and at the rule's nodes, from the rule
     # mapped onto [0, t] and [t, 1]: lo and width have shape (T, 2, 1)
     t = np.concatenate([ts, q.nodes])[:, None, None]
@@ -53,7 +56,7 @@ def formula_solve_linear(y, a: Expression, q: Quadrature, eval_nodes) -> Discret
     if not np.all(np.isfinite(gy)):
         raise DomainError("integrand is not finite at a quadrature node")
     green_part = np.sum(width[:, :, 0] * (gy @ q.weights), axis=1)
-    nonlocal_term = np.dot(_sample(a, q.nodes) * q.weights, green_part[len(ts):]) / (1.0 - alpha)
+    nonlocal_term = _nonlocal_sum(a, q, green_part[len(ts):])
     return DiscreteFunction(ts, green_part[:len(ts)] + nonlocal_term)
 
 
@@ -87,16 +90,15 @@ def fd_solve_linear(y, a: Expression, n: int) -> DiscreteFunction:
 
 
 def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
-                       u0: DiscreteFunction = None, tol: float = 1e-10,
-                       max_iter: int = 100) -> FDSolution:
+                       u0: DiscreteFunction = None) -> FDSolution:
     """Newton iteration on the finite-difference system with load f(u).
 
     u starts from u0 (or zero), v from zero. The Jacobian is the linear
     system's matrix plus h^2 f'(u) in the v-rows, with f' from
     f.derivative(), so a start where f' is not finite (sqrt(u) at 0)
     raises DomainError. Convergence is declared on the step norm of u
-    relative to max(1, ||u||). Non-convergence after max_iter steps is
-    reported on the returned solution, not raised.
+    relative to max(1, ||u||), see FD_TOL. Non-convergence after
+    FD_MAX_ITER steps is reported on the returned solution, not raised.
     """
     grid, weights, bands, border = _fd_setup(a, n)
     h2 = (1.0 / (n - 1)) ** 2
@@ -105,13 +107,13 @@ def fd_solve_nonlinear(f: Expression, a: Expression, n: int,
     df = f.derivative()
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FD_MAX_ITER + 1):
         jacobian = bands.copy()
         jacobian[_UPPER + 1, 2:-2:2] += h2 * df(u[1:-1])
         step = _bordered_solve(jacobian, border, -_fd_residual(u, v, f(u[1:-1]), weights))
         u = u + step[0::2]
         v = v + step[1::2]
-        if float(np.max(np.abs(step[0::2]))) <= tol * max(1.0, float(np.max(np.abs(u)))):
+        if float(np.max(np.abs(step[0::2]))) <= FD_TOL * max(1.0, float(np.max(np.abs(u)))):
             converged = True
             break
     return FDSolution(grid, u, converged=converged, iterations=iterations)

@@ -101,14 +101,9 @@ def _composite_gauss(panels, ppp):
 
 
 def _sample(g, points):
-    """Evaluate g on an array of points, tolerating scalar-only callables."""
-    try:
-        values = np.asarray(g(points), dtype=float)
-    except TypeError:
-        values = np.array([float(g(p)) for p in points])
-    if values.shape != points.shape:
-        values = np.array([float(g(p)) for p in points])
-    return values
+    """g at an array of points in one call, as floats broadcast to the
+    points' shape (a constant g may return a scalar)."""
+    return np.broadcast_to(np.asarray(g(points), dtype=float), points.shape)
 
 
 def integrate(g, q: Quadrature) -> float:

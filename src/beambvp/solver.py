@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Certificate, Problem, _check_alpha, certificate, log_grid
+from .analysis import Certificate, Problem, certificate, log_grid
 from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
-from .kernel import green
+from .kernel import _nonlocal_sum, green
 from .quadrature import Quadrature, make_quadrature
 
 # an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
 OVERFLOW_GUARD = 1e12
+# in units of the solution scale s (see _scale): a solution is nontrivial
+# above sup POSITIVITY_TOL s, and nonnegative down to -POSITIVITY_TOL max(s, sup)
 POSITIVITY_TOL = 1e-6
 CONE_SLACK = 1e-10
 # Picard's start and damping: where it stops within tol sets a solution's last digits
@@ -100,9 +102,7 @@ def build_operator(problem: Problem) -> NystromOperator:
     """
     q = problem.quad
     gmat = green(q.nodes[:, None], q.nodes[None, :])
-    alpha = _check_alpha(problem.cone.alpha)
-    w_col = (np.asarray(problem.a(q.nodes)) * q.weights) @ gmat / (1.0 - alpha)
-    kmat = (gmat + w_col[None, :]) * q.weights[None, :]
+    kmat = (gmat + _nonlocal_sum(problem.a, q, gmat)[None, :]) * q.weights[None, :]
     return NystromOperator(q, kmat, problem, certificate(problem))
 
 
@@ -122,15 +122,15 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
     """Damped successive substitution u <- (1-omega) u + omega Au.
 
     Stops when the undamped update ||Au - u|| drops below
-    tol max(1, ||u||) (so a converged report always satisfies that bound)
-    or when the iterate breaches the overflow guard, which sets the
-    diverged flag instead of raising. The reported residual is that of the
-    returned iterate.
+    tol max(s, ||u||), s the solution scale of _scale (so a converged
+    report always satisfies that bound), or when the iterate breaches the
+    overflow guard, which sets the diverged flag instead of raising. The
+    reported residual is that of the returned iterate.
     """
     if not 0.0 < omega <= 1.0:
         raise InvalidConfig("omega must lie in (0, 1]")
     kmat, f = op.kmatrix, op.problem.f
-    guard = _overflow_guard(op)
+    guard, scale = _overflow_guard(op), _scale(op)
     u = np.asarray(u0.values, dtype=float).copy()
     converged = diverged = False
     fp = np.inf
@@ -139,7 +139,7 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
         iterations += 1
         au = kmat @ f(u)
         fp = float(np.max(np.abs(au - u)))
-        if _within_tol(fp, u, tol):
+        if _within_tol(fp, u, tol, scale):
             converged = True
             break
         u = (1.0 - omega) * u + omega * au
@@ -154,7 +154,8 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
 
 def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
            max_iter: int = 500) -> SolveReport:
-    """Damped Newton on F(u) = u - Au, until ||F(u)|| <= tol max(1, ||u||).
+    """Damped Newton on F(u) = u - Au, until ||F(u)|| <= tol max(s, ||u||),
+    s the solution scale of _scale.
 
     The Jacobian I - K diag(f'(u)) takes f' from f.derivative(); each step
     is halved until ||F|| decreases. Raises SingularJacobian if the linear
@@ -162,14 +163,14 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
     """
     kmat, f = op.kmatrix, op.problem.f
     df = f.derivative()
-    guard = _overflow_guard(op)
+    guard, scale = _overflow_guard(op), _scale(op)
     n = op.quad.npoints
     u = np.asarray(u0.values, dtype=float).copy()
     diverged = False
     iterations = 0
     residual = u - kmat @ f(u)
     fp = float(np.max(np.abs(residual)))
-    while not _within_tol(fp, u, tol) and iterations < max_iter:
+    while not _within_tol(fp, u, tol, scale) and iterations < max_iter:
         iterations += 1
         jac = np.eye(n) - kmat * df(u)[None, :]
         try:
@@ -194,7 +195,7 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
         if np.max(np.abs(u)) > guard:
             diverged = True
             break
-    converged = not diverged and _within_tol(fp, u, tol)
+    converged = not diverged and _within_tol(fp, u, tol, scale)
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
     return _finish_report(op, sol, converged, iterations, fp, "newton", diverged)
 
@@ -270,9 +271,18 @@ def _cone_starts(op: NystromOperator) -> list:
     return [DiscreteFunction(op.quad.nodes.copy(), np.exp(root) * v) for root in roots]
 
 
-def _within_tol(fp: float, u: np.ndarray, tol: float) -> bool:
-    """tol is absolute up to sup|u| = 1 and relative above."""
-    return fp <= tol * max(1.0, float(np.max(np.abs(u))))
+def _scale(op: NystromOperator) -> float:
+    """The solution scale s: the lower end of the witness annulus, or 1
+    without a witness. The absolute floors of the stopping rule and of
+    positivity are fractions of s, so they scale with f as the solution does."""
+    cert = op.certificate
+    return cert.span[0] if cert.r is not None else 1.0
+
+
+def _within_tol(fp: float, u: np.ndarray, tol: float, scale: float) -> bool:
+    """tol is absolute, in units of the solution scale, up to sup|u| = scale
+    and relative above."""
+    return fp <= tol * max(scale, float(np.max(np.abs(u))))
 
 
 def _overflow_guard(op: NystromOperator) -> float:
@@ -282,12 +292,13 @@ def _overflow_guard(op: NystromOperator) -> float:
 
 def _finish_report(op, sol, converged, iterations, fp, method, diverged):
     """A solution is positive when the iteration converged without
-    diverging and the fixed point is nontrivial (sup >= POSITIVITY_TOL),
-    nonnegative up to POSITIVITY_TOL * max(1, sup), and in the cone."""
-    sup = sol.sup_norm()
+    diverging and the fixed point is nontrivial (sup >= POSITIVITY_TOL s),
+    nonnegative up to POSITIVITY_TOL max(s, sup), and in the cone; s is
+    the solution scale of _scale."""
+    sup, scale = sol.sup_norm(), _scale(op)
     in_cone = cone_gap(sol, op.problem, sol) >= -CONE_SLACK
-    nonnegative = float(np.min(sol.values)) >= -POSITIVITY_TOL * max(1.0, sup)
-    positive = (converged and not diverged and sup >= POSITIVITY_TOL
+    nonnegative = float(np.min(sol.values)) >= -POSITIVITY_TOL * max(scale, sup)
+    positive = (converged and not diverged and sup >= POSITIVITY_TOL * scale
                 and nonnegative and in_cone)
     return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
                        positive, diverged)
@@ -342,8 +353,8 @@ def _green_sum(problem: Problem, q: Quadrature, g, ts) -> np.ndarray:
     With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6 and the rule's sorted
     nodes, the sum over s_j <= t expands into prefix sums of the moments
     s^p w g, p = 0..3; searchsorted finds each prefix. Since G(0, s) = 0
-    the nonlocal part is one constant: the a-weighted sum of the Green's
-    part over the rule's own nodes, divided by 1 - alpha.
+    the nonlocal part is one constant, the nonlocal sum of the Green's
+    part at the rule's own nodes.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(ts > 1):
@@ -355,7 +366,5 @@ def _green_sum(problem: Problem, q: Quadrature, g, ts) -> np.ndarray:
     k = np.searchsorted(s, t, side="right")
     hump = t**3 * m0[k] - 3.0 * t**2 * m1[k] + 3.0 * t * m2[k] - m3[k]
     green_part = (t**3 * np.dot(wg, (1.0 - s) ** 2) - hump) / 6.0
-    avals = np.asarray(problem.a(s))
-    alpha = _check_alpha(float(np.dot(q.weights, avals)))
-    const = np.dot(avals * q.weights, green_part[ts.size:]) / (1.0 - alpha)
+    const = _nonlocal_sum(problem.a, q, green_part[ts.size:])
     return np.reshape(green_part[:ts.size] + const, ts.shape)

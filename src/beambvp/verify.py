@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import make_problem
 from .errors import InvalidConfig
 from .expressions import parse
-from .kernel import green, lower_envelope, strip_lower_bound, upper_envelope
+from .kernel import _nonlocal_sum, green, lower_envelope, strip_lower_bound, upper_envelope
 from .oracle import fd_solve_linear, formula_solve_linear
 from .quadrature import default_quadrature, integrate
 from .solver import apply, build_operator, cone_gap, DiscreteFunction
@@ -97,12 +97,10 @@ def _kernel_checks(offset, m, thetas, rng):
 
     q = default_quadrature()
     a = parse("t^2", "t")
-    alpha = integrate(a, q)
-    coeff = np.asarray(a(q.nodes)) * q.weights
     sgrid = np.linspace(0.0, 1.0, 201)
-    weight = coeff @ kernel(q.nodes[:, None], sgrid[None, :]) / (1.0 - alpha)
+    weight = _nonlocal_sum(a, q, kernel(q.nodes[:, None], sgrid[None, :]))
     kern = kernel(np.linspace(0.0, 1.0, 201)[:, None], sgrid[None, :]) + weight[None, :]
-    bound = upper_envelope(sgrid) / (1.0 - alpha)
+    bound = upper_envelope(sgrid) / (1.0 - integrate(a, q))
     results.append(_ceiling("kernel_upper_bound", float(np.max(kern - bound[None, :])), 1e-12))
     return results
 

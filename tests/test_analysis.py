@@ -187,10 +187,3 @@ def test_classification_scale_invariance(scale, f_text, expected):
     assert cert.classification == expected
     assert _witness_holds(p, cert)
 
-
-def test_validate_guards_arguments():
-    p = make_problem(F_SUPER, "t^2")
-    with pytest.raises(InvalidConfig):
-        validate_hypotheses(p, u_max=-1.0)
-    with pytest.raises(InvalidConfig):
-        validate_hypotheses(p, n_samples=1)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beambvp
 from beambvp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
@@ -18,13 +23,41 @@ F_SUPER = "u^2*(exp(-u)+1)"
 F_SUB = "sqrt(1+u)+sin(u)"
 
 
+def _run_cold(*args):
+    """A fresh interpreter run with args, importing the beambvp this process
+    imported, also where PYTHONPATH does not name it."""
+    src = str(Path(beambvp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_config_round_trip(tmp_path):
-    cfg = RunConfig(f_text=F_SUPER, a_text="t^2", theta=0.3, rule="composite-simpson",
-                    panels=5, points=5, tol=1e-8, max_iter=321,
-                    out_dir="somewhere", write_json=False, write_csv=True, seed=99)
     path = tmp_path / "run.ini"
-    cfg.to_file(path)
-    assert RunConfig.from_file(path) == cfg
+    path.write_text(f"""[problem]
+f_text = "{F_SUPER}"
+a_text = "t^2"
+theta = 0.3
+
+[quadrature]
+rule = composite-simpson
+panels = 5
+points = 5
+
+[solver]
+tol = 1e-08
+max_iter = 321
+
+[output]
+out_dir = somewhere
+write_json = false
+write_csv = true
+seed = 99
+""")
+    assert RunConfig.from_file(path) == RunConfig(
+        f_text=F_SUPER, a_text="t^2", theta=0.3, rule="composite-simpson",
+        panels=5, points=5, tol=1e-8, max_iter=321,
+        out_dir="somewhere", write_json=False, write_csv=True, seed=99)
 
 
 def test_config_validation():
@@ -300,12 +333,8 @@ def test_solve_outputs_are_deterministic(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-    proc = subprocess.run(
-        [sys.executable, "-m", "beambvp", "classify", "--f", "u", "--a", "t",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True)
+    proc = _run_cold("-m", "beambvp", "classify", "--f", "u", "--a", "t",
+                     "--out", str(tmp_path))
     assert proc.returncode == EXIT_OK
     assert "indeterminate" in proc.stdout
 
@@ -313,8 +342,6 @@ def test_module_entry_point(tmp_path):
 def test_solve_and_classify_do_not_load_scipy(tmp_path):
     # scipy serves only the finite-difference oracle; a fresh process that
     # solves and classifies must never import it
-    import subprocess
-    import sys
     script = (
         "import sys\n"
         "from beambvp.cli import main\n"
@@ -323,27 +350,22 @@ def test_solve_and_classify_do_not_load_scipy(tmp_path):
         "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
         "print(codes, loaded)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, F_SUPER, str(tmp_path)],
-                          capture_output=True, text=True)
+    proc = _run_cold("-c", script, F_SUPER, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] []"
 
 
 def test_verify_from_a_cold_process(tmp_path):
     # verify's oracle imports scipy on its first banded solve
-    import subprocess
-    import sys
-    proc = subprocess.run(
-        [sys.executable, "-m", "beambvp", "verify", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+    proc = _run_cold("-m", "beambvp", "verify", "--out", str(tmp_path))
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]
 
 
 def test_solve_from_config_file(tmp_path):
-    cfg = RunConfig(f_text=F_SUB, a_text="t", out_dir=str(tmp_path / "out"))
     path = tmp_path / "run.ini"
-    cfg.to_file(path)
+    path.write_text(f'[problem]\nf_text = "{F_SUB}"\na_text = "t"\n\n'
+                    f'[output]\nout_dir = {tmp_path / "out"}\n')
     assert main(["solve", "--config", str(path)]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["method"] == "picard"
@@ -351,9 +373,9 @@ def test_solve_from_config_file(tmp_path):
 
 
 def test_flag_overrides_config(tmp_path):
-    cfg = RunConfig(f_text="0*u", a_text="t", out_dir=str(tmp_path))
     path = tmp_path / "run.ini"
-    cfg.to_file(path)
+    path.write_text(f'[problem]\nf_text = "0*u"\na_text = "t"\n\n'
+                    f'[output]\nout_dir = {tmp_path}\n')
     # the flag replaces the config's trivial nonlinearity
     code = main(["solve", "--config", str(path), "--f", F_SUB])
     assert code == EXIT_OK
@@ -383,11 +405,7 @@ def test_config_that_is_a_directory_exits_usage(tmp_path, capsys):
 def test_cold_solve_emits_no_runtime_warning(tmp_path, f, code):
     # with RuntimeWarning an error, any warning that escaped the evaluator or
     # the solver would end the process with a traceback
-    import subprocess
-    import sys
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "beambvp", "solve",
-         "--f", f, "--a", "t", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+    proc = _run_cold("-W", "error::RuntimeWarning", "-m", "beambvp", "solve",
+                     "--f", f, "--a", "t", "--out", str(tmp_path))
     assert proc.returncode == code, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

@@ -85,43 +85,44 @@ def test_green_triangle_floor():
 def test_kernel_weight_zero_weight_function():
     q = default_quadrature()
     s = np.linspace(0.0, 1.0, 11)
-    assert np.all(kernel_weight(s, A_ZERO, 0.0, q) == 0.0)
+    assert np.all(kernel_weight(s, A_ZERO, q) == 0.0)
 
 
 def test_kernel_weight_closed_form():
     # for a = 1/2 the weight is exactly (1-s)^2 (1-(1-s)^2)/24 at panel
     # boundaries (the tau integrand is piecewise cubic)
     q = default_quadrature()
-    assert kernel_weight(0.5, A_HALF, 0.5, q) == pytest.approx(0.0078125, abs=1e-15)
+    assert kernel_weight(0.5, A_HALF, q) == pytest.approx(0.0078125, abs=1e-15)
     for s in np.linspace(0.0, 1.0, 9):
         expected = (1 - s) ** 2 * (1 - (1 - s) ** 2) / 24.0
-        assert kernel_weight(float(s), A_HALF, 0.5, q) == pytest.approx(expected, abs=1e-14)
-    assert kernel_weight(1.0, A_QUAD, 1 / 3, q) == pytest.approx(0.0, abs=1e-16)
+        assert kernel_weight(float(s), A_HALF, q) == pytest.approx(expected, abs=1e-14)
+    assert kernel_weight(1.0, A_QUAD, q) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_kernel_weight_rejects_bad_alpha():
+    # alpha = 1.2: the weight of a = 2.4 t lies outside [0, 1)
     q = default_quadrature()
     with pytest.raises(HypothesisViolation):
-        kernel_weight(0.5, A_LIN, 1.2, q)
+        kernel_weight(0.5, parse("2.4*t", "t"), q)
 
 
-def kernel(t, s, a, alpha, q):
+def kernel(t, s, a, q):
     """Full kernel G(t, s) + W(s); s may be a scalar or 1-d array."""
-    return green(t, s) + kernel_weight(s, a, alpha, q)
+    return green(t, s) + kernel_weight(s, a, q)
 
 
 def test_kernel_eval_reduces_to_green():
     q = default_quadrature()
     t = np.linspace(0.0, 1.0, 21)[:, None]
     s = np.linspace(0.0, 1.0, 21)
-    assert np.allclose(kernel(t, s, A_ZERO, 0.0, q), green(t, s[None, :]), atol=0)
+    assert np.allclose(kernel(t, s, A_ZERO, q), green(t, s[None, :]), atol=0)
 
 
 def test_kernel_eval_examples():
     q = default_quadrature()
-    assert kernel(0.0, 0.5, A_HALF, 0.5, q) == pytest.approx(0.0078125, abs=1e-15)
+    assert kernel(0.0, 0.5, A_HALF, q) == pytest.approx(0.0078125, abs=1e-15)
     t = np.linspace(0.0, 1.0, 21)
-    vals = np.array([kernel(float(x), 1.0, A_QUAD, 1 / 3, q) for x in t])
+    vals = np.array([kernel(float(x), 1.0, A_QUAD, q) for x in t])
     assert np.max(np.abs(vals)) <= 1e-15
 
 
@@ -132,7 +133,7 @@ def test_kernel_upper_bound():
     alpha = integrate(A_QUAD, q)
     t = np.linspace(0.0, 1.0, 201)[:, None]
     s = np.linspace(0.0, 1.0, 201)
-    kern = kernel(t, s, A_QUAD, alpha, q)
+    kern = kernel(t, s, A_QUAD, q)
     bound = s * (1 - s) ** 2 / (6.0 * (1.0 - alpha))
     assert np.max(kern - bound[None, :]) <= 1e-12
 
