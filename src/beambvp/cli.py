@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve, verify, classify (alias certificate), green.
-Exit codes: 0 success, 1 usage or parse error, 2 no positive solution
-was found, 3 hypothesis violation, 4 a verification check failed.
+Subcommands: solve, verify, classify, green.
+Exit codes: 0 success, 1 usage or parse error (argparse's own usage errors
+included), 2 no positive solution was found, 3 hypothesis violation, 4 a
+verification check failed.
 """
 
 from __future__ import annotations
@@ -19,15 +20,23 @@ from .config import RunConfig
 from .errors import BeamBVPError, HypothesisViolation, InvalidConfig
 from .expressions import parse
 from .kernel import green, kernel_weight, lower_envelope, upper_envelope
-from .quadrature import make_quadrature
+from .quadrature import GAUSS_LEGENDRE, make_quadrature
 from .solver import apply, solve_auto
-from .verify import run_checks
+from .verify import GRID_M, run_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TRIVIAL = 2
 EXIT_HYPOTHESIS = 3
 EXIT_CHECK_FAILED = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, but 2 means no positive solution."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="write only the JSON artifact")
     common.add_argument("--csv", action="store_true", help="write only the CSV artifact")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="beambvp",
         description="Solve u'''' + f(u) = 0 with u'(0)=u'(1)=u''(0)=0 and "
                     "u(0) = integral a(s) u(s) ds, and verify the kernel "
@@ -49,12 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", parents=[common], help="find a positive solution")
-    verify = sub.add_parser("verify", parents=[common], help="run the invariant checks")
-    verify.add_argument("--green-offset", type=float, default=0.0,
-                        help="testing hook: evaluate kernel checks on G + offset")
-    verify.add_argument("--grid-m", type=int, default=1001, help="sweep grid size")
-    for name in ("classify", "certificate"):
-        sub.add_parser(name, parents=[common], help="growth classification and thresholds")
+    sub.add_parser("verify", parents=[common], help="run the invariant checks")
+    sub.add_parser("classify", parents=[common], help="growth classification and thresholds")
     green_cmd = sub.add_parser("green", parents=[common], help="tabulate the kernel to CSV")
     green_cmd.add_argument("--grid-m", type=int, default=101, help="table grid size")
     return parser
@@ -67,8 +72,8 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, args.green_offset, args.grid_m)
-        if args.command in ("classify", "certificate"):
+            return cmd_verify(cfg)
+        if args.command == "classify":
             return cmd_classify(cfg)
         return cmd_green(cfg, args.grid_m)
     except BeamBVPError as exc:
@@ -100,7 +105,7 @@ def _problem(cfg, artifact):
     printed and recorded in the JSON artifact, and HypothesisViolation raised."""
     if not (cfg.f_text and cfg.a_text):
         raise InvalidConfig("f(u) and a(t) expressions are required (--f, --a or config)")
-    quad = make_quadrature(cfg.rule, cfg.panels, cfg.points)
+    quad = make_quadrature(cfg.panels, cfg.points)
     problem = make_problem(cfg.f_text, cfg.a_text, cfg.theta, quad)
     validation = validate_hypotheses(problem)
     if validation.ok:
@@ -169,12 +174,11 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig, green_offset: float, grid_m: int) -> int:
-    scorecard = run_checks(seed=cfg.seed, green_offset=green_offset,
-                           grid_m=grid_m, theta=cfg.theta)
+def cmd_verify(cfg: RunConfig) -> int:
+    scorecard = run_checks(seed=cfg.seed, theta=cfg.theta)
     if cfg.write_json:
         _write_json(_outdir(cfg) / "verify.json", scorecard)
-    print(f"seed {cfg.seed}, grid {grid_m}x{grid_m}")
+    print(f"seed {cfg.seed}, grid {GRID_M}x{GRID_M}")
     for check in scorecard["checks"]:
         flag = "pass" if check["passed"] else "FAIL"
         print(f"[{flag}] {check['name']}: margin {check['margin']:.3g} "
@@ -187,7 +191,7 @@ def cmd_green(cfg: RunConfig, grid_m: int) -> int:
         raise InvalidConfig(f"--grid-m must be at least 2, got {grid_m}")
     ts = np.linspace(0.0, 1.0, grid_m)
     ss = np.linspace(0.0, 1.0, grid_m)
-    quad = make_quadrature(cfg.rule, cfg.panels, cfg.points)
+    quad = make_quadrature(cfg.panels, cfg.points)
     if cfg.a_text:
         weights = kernel_weight(ss, parse(cfg.a_text, "t"), quad)
     else:
@@ -214,7 +218,7 @@ def _base_payload(cfg, problem):
         "alpha": problem.cone.alpha,
         "beta": problem.cone.beta,
         "gamma": problem.cone.gamma,
-        "quadrature": {"rule": cfg.rule, "panels": cfg.panels, "points": cfg.points},
+        "quadrature": {"rule": GAUSS_LEGENDRE, "panels": cfg.panels, "points": cfg.points},
         "seed": cfg.seed,
     }
 

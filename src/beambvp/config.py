@@ -14,6 +14,9 @@ from pathlib import Path
 from .errors import InvalidConfig
 from .quadrature import GAUSS_LEGENDRE
 
+# [quadrature] rule may name the one rule the package has, in these spellings
+_RULE_NAMES = ("gauss", "gauss-legendre", GAUSS_LEGENDRE)
+
 _SECTIONS = {
     "problem": ("f_text", "a_text", "theta"),
     "quadrature": ("rule", "panels", "points"),
@@ -27,7 +30,6 @@ class RunConfig:
     f_text: str = ""
     a_text: str = ""
     theta: float = 0.25
-    rule: str = GAUSS_LEGENDRE
     panels: int = 8
     points: int = 4
     tol: float = 1e-10
@@ -67,7 +69,10 @@ class RunConfig:
             for name, raw in items.items():
                 if name not in _SECTIONS[section]:
                     raise InvalidConfig(f"unknown key {name!r} in [{section}]")
-                kwargs[name] = _parse(name, raw)
+                if name != "rule":
+                    kwargs[name] = _parse(name, raw)
+                elif raw.strip() not in _RULE_NAMES:
+                    raise InvalidConfig(f"unsupported quadrature rule {raw.strip()!r}")
         return cls(**kwargs)
 
     def override(self, **changes) -> "RunConfig":

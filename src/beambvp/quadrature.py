@@ -1,7 +1,7 @@
-"""Composite quadrature rules on [0, 1].
+"""The composite Gauss-Legendre rule on [0, 1].
 
 Every integral in the package (the boundary-weight moments, the kernel
-weight, the integral operator itself) funnels through these rules. The
+weight, the integral operator itself) funnels through this rule. The
 same node set doubles as the collocation grid of the integral-operator
 discretization, so kernel matrices stay square.
 """
@@ -14,25 +14,15 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, InvalidRange
 
-SIMPSON = "composite-simpson"
 GAUSS_LEGENDRE = "composite-gauss-legendre"
-
-_RULE_ALIASES = {
-    "simpson": SIMPSON,
-    SIMPSON: SIMPSON,
-    "gauss": GAUSS_LEGENDRE,
-    "gauss-legendre": GAUSS_LEGENDRE,
-    GAUSS_LEGENDRE: GAUSS_LEGENDRE,
-}
 
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Nodes and positive weights of a composite rule on [0, 1]."""
+    """Nodes and positive weights of a composite Gauss-Legendre rule on [0, 1]."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    rule: str
     panels: int
 
     @property
@@ -41,54 +31,25 @@ class Quadrature:
 
     @property
     def points_per_panel(self) -> int:
-        # Simpson panels share their end nodes
-        if self.rule == SIMPSON:
-            return (self.npoints - 1) // self.panels + 1
         return self.npoints // self.panels
 
 
-def make_quadrature(rule: str = GAUSS_LEGENDRE, panels: int = 8,
-                    points_per_panel: int = 4) -> Quadrature:
-    """Build a composite rule with `panels` equal panels on [0, 1].
-
-    Simpson panels need an odd points_per_panel >= 3 and share endpoint
-    nodes; Gauss-Legendre supports 2..10 points per panel, all interior.
-    """
-    canonical = _RULE_ALIASES.get(rule)
-    if canonical is None:
-        raise InvalidConfig(f"unsupported quadrature rule {rule!r}")
+def make_quadrature(panels: int, points_per_panel: int) -> Quadrature:
+    """Composite Gauss-Legendre with `panels` equal panels on [0, 1] and
+    2..10 points per panel, all interior."""
     if panels < 1:
         raise InvalidConfig("panels must be >= 1")
-    if canonical is SIMPSON:
-        if points_per_panel < 3 or points_per_panel % 2 == 0:
-            raise InvalidConfig("Simpson needs an odd points_per_panel >= 3")
-        nodes, weights = _composite_simpson(panels, points_per_panel)
-    else:
-        if not 2 <= points_per_panel <= 10:
-            raise InvalidConfig("Gauss-Legendre supports 2..10 points per panel")
-        nodes, weights = _composite_gauss(panels, points_per_panel)
+    if not 2 <= points_per_panel <= 10:
+        raise InvalidConfig("Gauss-Legendre supports 2..10 points per panel")
+    nodes, weights = _composite_gauss(panels, points_per_panel)
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return Quadrature(nodes, weights, canonical, panels)
+    return Quadrature(nodes, weights, panels)
 
 
 def default_quadrature() -> Quadrature:
-    """The package default: Gauss-Legendre, 8 panels x 4 points."""
-    return make_quadrature(GAUSS_LEGENDRE, 8, 4)
-
-
-def _composite_simpson(panels, ppp):
-    total = panels * (ppp - 1) + 1
-    nodes = np.linspace(0.0, 1.0, total)
-    weights = np.zeros(total)
-    pattern = np.ones(ppp)
-    pattern[1:-1:2] = 4.0
-    pattern[2:-1:2] = 2.0
-    step = 1.0 / (panels * (ppp - 1))
-    for p in range(panels):
-        lo = p * (ppp - 1)
-        weights[lo:lo + ppp] += pattern * (step / 3.0)
-    return nodes, weights
+    """The package default: 8 panels x 4 points."""
+    return make_quadrature(8, 4)
 
 
 def _composite_gauss(panels, ppp):

@@ -334,7 +334,7 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
     q = problem.quad
     if not np.array_equal(u.nodes, q.nodes):
         raise InvalidConfig("grid function does not live on the problem's nodes")
-    fine = make_quadrature(q.rule, 2 * q.panels, q.points_per_panel)
+    fine = make_quadrature(2 * q.panels, q.points_per_panel)
     u_fine = interpolate(u, problem, fine.nodes)
     return float(np.max(np.abs(_green_sum(problem, fine, problem.f(u_fine), fine.nodes) - u_fine)))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import beambvp
+from beambvp import verify
 from beambvp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
@@ -18,6 +19,7 @@ from beambvp.cli import (
 )
 from beambvp.config import RunConfig
 from beambvp.errors import InvalidConfig
+from beambvp.kernel import green
 
 F_SUPER = "u^2*(exp(-u)+1)"
 F_SUB = "sqrt(1+u)+sin(u)"
@@ -40,7 +42,7 @@ a_text = "t^2"
 theta = 0.3
 
 [quadrature]
-rule = composite-simpson
+rule = gauss
 panels = 5
 points = 5
 
@@ -55,9 +57,72 @@ write_csv = true
 seed = 99
 """)
     assert RunConfig.from_file(path) == RunConfig(
-        f_text=F_SUPER, a_text="t^2", theta=0.3, rule="composite-simpson",
-        panels=5, points=5, tol=1e-8, max_iter=321,
+        f_text=F_SUPER, a_text="t^2", theta=0.3, panels=5, points=5, tol=1e-8, max_iter=321,
         out_dir="somewhere", write_json=False, write_csv=True, seed=99)
+
+
+# the text of the benchmark's N = 512 config; rule names the one rule there is
+FINE_CONFIG = """[quadrature]
+rule = composite-gauss-legendre
+panels = 128
+points = 4
+"""
+
+
+@pytest.mark.parametrize("spelling", ["gauss", "gauss-legendre", "composite-gauss-legendre"])
+def test_config_accepts_each_gauss_legendre_spelling(tmp_path, spelling):
+    path = tmp_path / "fine.ini"
+    path.write_text(FINE_CONFIG.replace("composite-gauss-legendre", spelling))
+    code = main(["solve", "--config", str(path), "--f", F_SUB, "--a", "t",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["quadrature"] == {"rule": "composite-gauss-legendre", "panels": 128, "points": 4}
+    assert len((tmp_path / "solution.csv").read_text().splitlines()) == 513
+
+
+@pytest.mark.parametrize("rule", ["simpson", "composite-simpson", "trapezoid"])
+def test_config_rejects_other_quadrature_rules(tmp_path, capsys, rule):
+    path = tmp_path / "fine.ini"
+    path.write_text(FINE_CONFIG.replace("composite-gauss-legendre", rule))
+    code = main(["solve", "--config", str(path), "--f", F_SUB, "--a", "t",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: unsupported quadrature rule {rule!r}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["solve", "--theta", "abc"],
+    ["solve", "--panels", "3"],
+    ["verify", "--green-offset", "-0.01"],
+    ["verify", "--grid-m", "301"],
+    ["certificate", "--f", F_SUB, "--a", "t"],
+], ids=["no-command", "unknown-command", "bad-float", "unknown-flag",
+        "verify-green-offset", "verify-grid-m", "certificate"])
+def test_usage_errors_exit_usage(tmp_path, capsys, argv):
+    # argparse's own exit code 2 would read as "no positive solution"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: beambvp") and "error: " in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--grid-m" not in capsys.readouterr().out
+
+
+def test_usage_error_from_a_cold_process():
+    proc = _run_cold("-m", "beambvp", "bogus")
+    assert proc.returncode == EXIT_USAGE
+    assert "invalid choice: 'bogus'" in proc.stderr
 
 
 def test_config_validation():
@@ -222,7 +287,7 @@ def test_classify_examples(tmp_path):
     assert payload["r"] < payload["R"]
 
     out2 = tmp_path / "c2"
-    assert main(["certificate", "--f", F_SUB, "--a", "t", "--out", str(out2)]) == EXIT_OK
+    assert main(["classify", "--f", F_SUB, "--a", "t", "--out", str(out2)]) == EXIT_OK
     payload2 = json.loads((out2 / "classify.json").read_text())
     assert payload2["classification"] == "sublinear"
     assert payload2["epsilon_max"] == pytest.approx(3.0, abs=1e-12)
@@ -244,7 +309,7 @@ def test_classify_linear_indeterminate(tmp_path):
 
 
 def test_verify_passes_and_writes_scorecard(tmp_path):
-    code = main(["verify", "--a", "t", "--out", str(tmp_path), "--grid-m", "301"])
+    code = main(["verify", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_OK
     scorecard = json.loads((tmp_path / "verify.json").read_text())
     assert scorecard["all_passed"]
@@ -253,19 +318,11 @@ def test_verify_passes_and_writes_scorecard(tmp_path):
 
 def test_verify_accepts_wide_theta(tmp_path):
     # the kernel bounds hold for every theta below one half
-    code = main(["verify", "--theta", "0.49", "--out", str(tmp_path),
-                 "--grid-m", "201"])
+    code = main(["verify", "--theta", "0.49", "--out", str(tmp_path)])
     assert code == EXIT_OK
     scorecard = json.loads((tmp_path / "verify.json").read_text())
     names = {c["name"] for c in scorecard["checks"]}
     assert "green_strip_floor_theta_0.49" in names
-
-
-def test_verify_rejects_grid_missing_a_strip(tmp_path):
-    # a 2-point grid {0, 1} has no point in any strip, so those checks
-    # could not fail
-    assert main(["verify", "--out", str(tmp_path), "--grid-m", "2"]) == EXIT_USAGE
-    assert not (tmp_path / "verify.json").exists()
 
 
 def test_classify_json_carries_the_witness(tmp_path):
@@ -280,13 +337,14 @@ def test_classify_json_carries_the_witness(tmp_path):
     assert payload["r"] is None and payload["R"] is None
 
 
-def test_verify_detects_perturbed_kernel(tmp_path):
-    code = main(["verify", "--a", "t", "--out", str(tmp_path), "--grid-m", "201",
-                 "--green-offset", "-0.01"])
+def test_verify_detects_perturbed_kernel(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "green", lambda t, s: green(t, s) - 0.01)
+    code = main(["verify", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED
     scorecard = json.loads((tmp_path / "verify.json").read_text())
     failed = {c["name"] for c in scorecard["checks"] if not c["passed"]}
-    assert "green_nonnegative" in failed
+    assert failed == {"green_nonnegative", "green_lower_envelope", "green_triangle_floor",
+                      *(f"green_strip_floor_theta_{th}" for th in (0.1, 0.25, 0.4))}
 
 
 def test_green_small_table(tmp_path):

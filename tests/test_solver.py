@@ -68,16 +68,6 @@ def test_operator_zero_weight_reduces_to_green():
     assert np.all(op.kmatrix[0] <= q.nodes[0] ** 3 / 6 * q.weights)
 
 
-def test_operator_row_vanishes_at_left_endpoint_node():
-    # Simpson nodes include t = 0, where every kernel entry vanishes
-    # once the nonlocal weight is zero
-    q = make_quadrature("simpson", 4, 3)
-    p = make_problem("u", "0*t", 0.25, q)
-    op = build_operator(p)
-    assert q.nodes[0] == 0.0
-    assert np.all(op.kmatrix[0] == 0.0)
-
-
 def test_apply_zero_nonlinearity():
     p = make_problem("0*u", "t", 0.25)
     op = build_operator(p)
@@ -88,7 +78,7 @@ def test_apply_zero_nonlinearity():
 def test_apply_constant_forcing_closed_form():
     # with f = 1 the operator returns the uniform-load deflection;
     # resolving the kernel kink to 1e-10 takes a finer panelization
-    q = make_quadrature("gauss-legendre", 32, 4)
+    q = make_quadrature(32, 4)
     p = make_problem("0*u+1", "0*t", 0.25, q)
     op = build_operator(p)
     au = apply(op, constant_start(op, 0.0))
@@ -226,14 +216,6 @@ def test_solve_auto_survives_overflowing_starts():
     assert report.converged and report.positive
 
 
-def test_solve_auto_end_to_end_on_simpson_rule():
-    q = make_quadrature("simpson", 8, 5)
-    p = make_problem(F_SUB, "t", 0.25, q)
-    report = solve_auto(p)
-    assert report.converged and report.positive and report.in_cone
-    assert report.error_estimate <= 1e-4
-
-
 def test_solve_auto_narrow_strip():
     # at theta = 0.495 the default rule has no collocation node inside the
     # strip; the cone check falls back to the interpolant
@@ -256,7 +238,7 @@ def test_residuals_uniform_load_closed_form():
     p = make_problem("0*u+1", "0*t", 0.25)
     q = p.quad
     u = DiscreteFunction(q.nodes.copy(), uniform_load_deflection(q.nodes))
-    fine = make_quadrature("gauss-legendre", 2 * q.panels, 4)
+    fine = make_quadrature(2 * q.panels, 4)
     error = np.max(np.abs(interpolate(u, p, fine.nodes) - uniform_load_deflection(fine.nodes)))
     estimate = residuals(u, p)
     assert 0.1 * error <= estimate <= 10.0 * error
@@ -271,24 +253,24 @@ def test_residual_scale_bound():
     # the estimate falls with the kernel-kink-limited O(h^4) error
     estimates = []
     for panels in (8, 16, 32):
-        p = make_problem(F_SUB, "t", 0.25, make_quadrature("gauss-legendre", panels, 4))
+        p = make_problem(F_SUB, "t", 0.25, make_quadrature(panels, 4))
         estimates.append(solve_auto(p).error_estimate)
     assert estimates[0] >= 8.0 * estimates[1]
     assert estimates[1] >= 8.0 * estimates[2]
 
 
-@pytest.mark.parametrize("rule, panels, points", [("gauss-legendre", 4, 2), ("simpson", 8, 5)])
-def test_residuals_flag_coarse_superlinear_grids(rule, panels, points):
-    # the solution is off by ~0.2 and ~2.7e-3 here, far above 1e-4
-    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(rule, panels, points))
+def test_residuals_flag_coarse_superlinear_grids():
+    # the solution is off by ~0.2 here, far above 1e-4
+    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(4, 2))
     report = solve_auto(p)
     assert report.converged and report.positive
     assert report.error_estimate > 1e-4
 
 
-@pytest.mark.parametrize("rule, panels, points", [("gauss-legendre", 8, 4), ("simpson", 4, 5)])
-def test_refined_sum_matches_dense_operator(super_problem, rule, panels, points):
-    fine = make_quadrature(rule, panels, points)
+@pytest.mark.parametrize("panels", [8, 16])
+def test_refined_sum_matches_dense_operator(super_problem, panels):
+    # 16 panels is the rule residuals refines the default one to
+    fine = make_quadrature(panels, 4)
     g = np.random.default_rng(5).uniform(0.0, 100.0, fine.npoints)
     dense = build_operator(make_problem(F_SUPER, "t^2", 0.25, fine)).kmatrix @ g
     fast = _green_sum(super_problem, fine, g, fine.nodes)
@@ -301,12 +283,12 @@ def _dense_kernel(p, ts):
     return green(ts[:, None], q.nodes[None, :]) + kernel_weight(q.nodes, p.a, q)
 
 
-QUADS = [("gauss-legendre", 8, 4), ("simpson", 8, 5)]
+QUADS = [(8, 4), (5, 3)]
 
 
-@pytest.mark.parametrize("rule, panels, points", QUADS)
-def test_interpolate_matches_dense_kernel_sum(rule, panels, points):
-    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(rule, panels, points))
+@pytest.mark.parametrize("panels, points", QUADS)
+def test_interpolate_matches_dense_kernel_sum(panels, points):
+    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(panels, points))
     q = p.quad
     u = DiscreteFunction(q.nodes.copy(), np.random.default_rng(7).uniform(0.0, 5.0, q.npoints))
     ts = np.random.default_rng(8).permutation(
@@ -323,9 +305,9 @@ def test_interpolate_rejects_points_off_the_interval(super_problem):
             interpolate(u, super_problem, np.array([0.5, t]))
 
 
-@pytest.mark.parametrize("rule, panels, points", QUADS)
-def test_operator_matches_dense_kernel_weight(rule, panels, points):
-    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(rule, panels, points))
+@pytest.mark.parametrize("panels, points", QUADS)
+def test_operator_matches_dense_kernel_weight(panels, points):
+    p = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(panels, points))
     q = p.quad
     expected = _dense_kernel(p, q.nodes) * q.weights[None, :]
     assert np.array_equal(build_operator(p).kmatrix, expected)
@@ -420,7 +402,7 @@ def test_grid_convergence_sublinear():
     probe = np.linspace(0.0, 1.0, 101)
     solutions = {}
     for panels in (8, 16, 32):
-        q = make_quadrature("gauss-legendre", panels, 4)
+        q = make_quadrature(panels, 4)
         p = make_problem(F_SUB, "t", 0.25, q)
         report = solve_auto(p)
         assert report.converged and report.positive
