@@ -19,7 +19,7 @@ from .analysis import certificate, make_problem, validate_hypotheses
 from .config import RunConfig
 from .errors import BeamBVPError, HypothesisViolation, InvalidConfig
 from .expressions import parse
-from .kernel import green, kernel_weight, lower_envelope, upper_envelope
+from .kernel import ROW_BLOCK, green, kernel_weight, lower_envelope, upper_envelope
 from .quadrature import GAUSS_LEGENDRE, make_quadrature
 from .solver import apply, solve_auto
 from .verify import GRID_M, run_checks
@@ -147,7 +147,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             report.solution.nodes, report.solution.values, au.values,
             np.abs(report.solution.values - au.values),
         ])
-        _write_csv(out / "solution.csv", "t,u,Au,fp_residual", rows)
+        _write_csv(out / "solution.csv", "t,u,Au,fp_residual", [rows])
     ok = report.positive
     status = "positive solution" if ok else ("trivial solution only" if report.converged
                                              else "no convergence")
@@ -189,24 +189,28 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_green(cfg: RunConfig, grid_m: int) -> int:
     if grid_m < 2:
         raise InvalidConfig(f"--grid-m must be at least 2, got {grid_m}")
-    ts = np.linspace(0.0, 1.0, grid_m)
     ss = np.linspace(0.0, 1.0, grid_m)
     quad = make_quadrature(cfg.panels, cfg.points)
     if cfg.a_text:
         weights = kernel_weight(ss, parse(cfg.a_text, "t"), quad)
     else:
         weights = np.zeros_like(ss)
-    gmat = green(ts[:, None], ss[None, :])
-    tcol = np.repeat(ts, grid_m)
-    scol = np.tile(ss, grid_m)
-    rows = np.column_stack([
-        tcol, scol, gmat.ravel(), (gmat + weights[None, :]).ravel(),
-        lower_envelope(ts[:, None], ss[None, :]).ravel(),
-        np.tile(upper_envelope(ss), grid_m),
-    ])
+
+    def blocks():
+        # ROW_BLOCK t-rows at a time: the table is never held whole
+        for start in range(0, grid_m, ROW_BLOCK):
+            ts = ss[start:start + ROW_BLOCK]
+            gmat = green(ts[:, None], ss[None, :])
+            yield np.column_stack([
+                np.repeat(ts, grid_m), np.tile(ss, ts.size), gmat.ravel(),
+                (gmat + weights[None, :]).ravel(),
+                lower_envelope(ts[:, None], ss[None, :]).ravel(),
+                np.tile(upper_envelope(ss), ts.size),
+            ])
+
     _write_csv(_outdir(cfg) / "green.csv",
-               "t,s,G,kernel,lower_envelope,upper_envelope", rows)
-    print(f"wrote {rows.shape[0]} kernel samples")
+               "t,s,G,kernel,lower_envelope,upper_envelope", blocks())
+    print(f"wrote {grid_m * grid_m} kernel samples")
     return EXIT_OK
 
 
@@ -229,8 +233,10 @@ def _write_json(path, payload) -> None:
         handle.write("\n")
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, blocks) -> None:
+    """Write the rows of each 2-D block in turn, every value to 17 digits."""
     with open(path, "w") as handle:
         handle.write(header + "\n")
-        for row in np.asarray(rows):
-            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        for block in blocks:
+            for row in block:
+                handle.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -21,6 +21,11 @@ from .errors import HypothesisViolation, OutOfDomain
 from .expressions import Expression
 from .quadrature import Quadrature, _sample
 
+# rows that a dense evaluation computes at once (verify's kernel sweep,
+# green.csv, the Nystrom matrix, the Newton-start scan's radii), so that its
+# temporaries are a few ROW_BLOCK x M arrays, not M x M ones
+ROW_BLOCK = 64
+
 # 1 - alpha divides the nonlocal sum, and quadrature rounding can land an
 # inadmissible weight a hair inside the open window (0, 1)
 ALPHA_MARGIN = 1e-12
@@ -57,9 +62,9 @@ def green(t, s):
     s = np.asarray(s)
     if np.any(t < 0) or np.any(t > 1) or np.any(s < 0) or np.any(s > 1):
         raise OutOfDomain("green(t, s) requires 0 <= t, s <= 1")
-    base = t**3 * (1.0 - s) ** 2
-    hump = np.where(s <= t, (t - s) ** 3, np.zeros_like(base))
-    g = (base - hump) / 6.0
+    g = t**3 * (1.0 - s) ** 2
+    g -= np.where(s <= t, (t - s) ** 3, 0.0)
+    g /= 6.0
     return g if g.ndim else float(g)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .analysis import Certificate, Problem, certificate, log_grid
 from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
-from .kernel import _nonlocal_sum, green
+from .kernel import ROW_BLOCK, _nonlocal_sum, green
 from .quadrature import Quadrature, make_quadrature
 
 # an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
@@ -100,9 +100,15 @@ def build_operator(problem: Problem) -> NystromOperator:
     comes from the same Green's matrix and the same rule as alpha, so the
     discrete operator inherits the continuous positivity structure exactly.
     """
-    q = problem.quad
-    gmat = green(q.nodes[:, None], q.nodes[None, :])
-    kmat = (gmat + _nonlocal_sum(problem.a, q, gmat)[None, :]) * q.weights[None, :]
+    q, n = problem.quad, problem.quad.npoints
+    # G is filled ROW_BLOCK rows at a time and finished into K in place, so
+    # assembly holds one N x N array
+    kmat = np.empty((n, n))
+    for start in range(0, n, ROW_BLOCK):
+        kmat[start:start + ROW_BLOCK] = green(q.nodes[start:start + ROW_BLOCK, None],
+                                              q.nodes[None, :])
+    kmat += _nonlocal_sum(problem.a, q, kmat)[None, :]
+    kmat *= q.weights[None, :]
     return NystromOperator(q, kmat, problem, certificate(problem))
 
 
@@ -244,10 +250,10 @@ def _cone_starts(op: NystromOperator) -> list:
     A fixed point lies between a radius where A compresses and one where it
     expands (Krasnosel'skii; Guo & Lakshmikantham, Nonlinear Problems in
     Abstract Cones, 1988). log rho(c) = log(max A(c v) / c) is scanned, in
-    one evaluation of f, on the certificate's log grid over its span: between
-    the witness radii, or over f's finite range without a witness. Each sign
-    change gives a start at its log-linear root; without one, the start is
-    the c of least |log rho|.
+    blocks of ROW_BLOCK radii, on the certificate's log grid over its span:
+    between the witness radii, or over f's finite range without a witness.
+    Each sign change gives a start at its log-linear root; without one, the
+    start is the c of least |log rho|.
     """
     span = op.certificate.span
     if span is None:
@@ -257,8 +263,10 @@ def _cone_starts(op: NystromOperator) -> list:
     v = v / np.max(v)
     cs = log_grid(*span)
     try:
-        # column k is A(c_k v)
-        rho = np.max(kmat @ f(np.outer(v, cs)), axis=0) / cs
+        # column k of a block is A(c_k v); a block of radii at a time keeps
+        # the scan at N x ROW_BLOCK arrays over up to 2401 radii
+        blocks = (cs[i:i + ROW_BLOCK] for i in range(0, cs.size, ROW_BLOCK))
+        rho = np.concatenate([np.max(kmat @ f(np.outer(v, c)), axis=0) / c for c in blocks])
     except DomainError:
         return []
     # rho = 0, where f vanishes on the ray, is the strongest compression

@@ -4,7 +4,9 @@ Each check recomputes one of the quantitative facts the solver relies
 on (kernel sign and envelopes, representation-vs-finite-difference
 agreement, cone inequalities) and reports its worst margin. The kernel
 checks call this module's `green`, so a test that replaces it with a
-corrupted kernel confirms that the corruption is caught.
+corrupted kernel confirms that the corruption is caught. They sweep the
+GRID_M x GRID_M grid ROW_BLOCK rows at a time and keep running extremes,
+so the sweep's memory is set by the block, not by the grid.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from .analysis import make_problem
 from .expressions import parse
-from .kernel import _nonlocal_sum, green, lower_envelope, strip_lower_bound, upper_envelope
+from .kernel import (ROW_BLOCK, _nonlocal_sum, green, lower_envelope, strip_lower_bound,
+                     upper_envelope)
 from .oracle import fd_solve_linear, formula_solve_linear
 from .quadrature import default_quadrature, integrate
 from .solver import apply, build_operator, cone_gap, DiscreteFunction
@@ -66,21 +69,36 @@ def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
 
 
 def _kernel_checks(thetas, rng):
-    ts = np.linspace(0.0, 1.0, GRID_M)[:, None]
-    ss = np.linspace(0.0, 1.0, GRID_M)[None, :]
-    g = green(ts, ss)
+    grid = np.linspace(0.0, 1.0, GRID_M)
+    ss = grid[None, :]
+    # running extremes over blocks of ROW_BLOCK t-rows; np.minimum and
+    # np.maximum keep a nan, as np.min over the whole grid would
+    g_min = lower_min = triangle_min = np.inf
+    upper_max = -np.inf
+    strip_min = dict.fromkeys(thetas, np.inf)
+    for start in range(0, GRID_M, ROW_BLOCK):
+        ts = grid[start:start + ROW_BLOCK, None]
+        g = green(ts, ss)
+        g_min = np.minimum(g_min, np.min(g))
+        lower_min = np.minimum(lower_min, np.min(g - lower_envelope(ts, ss)))
+        upper_max = np.maximum(upper_max, np.max(g - upper_envelope(ss)))
+        for theta in thetas:
+            rows = (ts[:, 0] >= theta) & (ts[:, 0] <= 1.0 - theta)
+            if np.any(rows):
+                strip_min[theta] = np.minimum(
+                    strip_min[theta], np.min(g[rows] - strip_lower_bound(theta, ss)))
+        # s = 0 <= t, so every row has a point in the triangle
+        triangle_min = np.minimum(triangle_min,
+                                  np.min((g - ss * (ts - ss) ** 2 / 6.0)[ss <= ts]))
 
     results = [
-        _floor("green_nonnegative", float(np.min(g)), -1e-15),
-        _floor("green_lower_envelope", float(np.min(g - lower_envelope(ts, ss))), -1e-14),
-        _ceiling("green_upper_envelope", float(np.max(g - upper_envelope(ss))), 1e-14),
+        _floor("green_nonnegative", float(g_min), -1e-15),
+        _floor("green_lower_envelope", float(lower_min), -1e-14),
+        _ceiling("green_upper_envelope", float(upper_max), 1e-14),
     ]
     for theta in thetas:
-        strip = (ts >= theta) & (ts <= 1.0 - theta)
-        gap = np.where(strip, g - strip_lower_bound(theta, ss), np.inf)
-        results.append(_floor(f"green_strip_floor_theta_{theta}", float(np.min(gap)), -1e-14))
-    lower_tri = np.where(ss <= ts, g - ss * (ts - ss) ** 2 / 6.0, np.inf)
-    results.append(_floor("green_triangle_floor", float(np.min(lower_tri)), -1e-14))
+        results.append(_floor(f"green_strip_floor_theta_{theta}", float(strip_min[theta]), -1e-14))
+    results.append(_floor("green_triangle_floor", float(triangle_min), -1e-14))
 
     # s = t takes the s <= t branch; the next double above t takes the other
     t_rand = rng.uniform(0.0, 1.0, 100)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beambvp import solver
-from beambvp.analysis import make_problem
+from beambvp.analysis import log_grid, make_problem
 from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, OutOfDomain
 from beambvp.expressions import Expression
 from beambvp.kernel import green, kernel_weight
@@ -487,3 +487,24 @@ def test_newton_evaluates_one_residual_per_iterate(f, c, monkeypatch):
     report = newton(op, constant_start(op, c))
     assert report.converged and report.iterations >= 1
     assert calls == {"f": 1 + report.iterations, "df": report.iterations}
+
+
+def test_operator_assembly_runs_in_bounded_memory(traced_peak):
+    problem = make_problem(F_SUPER, "t^2", 0.25, make_quadrature(128, 4))
+    build_operator(problem)
+    # G and its temporaries as 512 x 512 arrays peaked at 8.3 MiB; K is 2 MiB
+    assert traced_peak(lambda: build_operator(problem)) <= 4.0
+
+
+def test_cone_scan_without_a_witness_runs_in_bounded_memory(traced_peak, monkeypatch):
+    op = build_operator(make_problem("u^2/(1e7+u)", "t", 0.25, make_quadrature(128, 4)))
+    assert op.certificate.r is None and log_grid(*op.certificate.span).size == 2401
+    starts = []
+    # A(c v) for all 2401 radii at once peaked at 37.5 MiB
+    assert traced_peak(lambda: starts.extend(solver._cone_starts(op))) <= 8.0
+    # a block that holds every radius is the unblocked scan
+    monkeypatch.setattr(solver, "ROW_BLOCK", 10**6)
+    whole = solver._cone_starts(op)
+    assert len(starts) == len(whole) > 0
+    for u, ref in zip(starts, whole):
+        np.testing.assert_allclose(u.values, ref.values, rtol=1e-12, atol=0.0)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from beambvp import verify
 from beambvp.kernel import green
@@ -29,3 +30,25 @@ def test_operator_cone_floor_without_a_node_in_the_strip():
     scorecard = verify.run_checks(theta=0.495)
     assert _check(scorecard, "operator_cone_floor")["margin"] >= 0.0
     assert scorecard["all_passed"]
+
+
+def test_kernel_sweep_runs_in_bounded_memory(traced_peak):
+    verify.run_checks(5)  # the oracle's lazy scipy import is not the sweep's
+    # the whole 1001 x 1001 grid at once peaked at 31.6 MiB
+    assert traced_peak(lambda: verify.run_checks(5)) <= 8.0
+
+
+@pytest.mark.parametrize("fault, failed", [
+    (-0.01, {"green_nonnegative", "green_lower_envelope", "green_triangle_floor"}),
+    (np.nan, {"green_nonnegative", "green_lower_envelope", "green_upper_envelope",
+              "green_triangle_floor", "green_branch_match", "kernel_upper_bound"}),
+])
+def test_a_fault_in_the_last_partial_row_block_is_caught(monkeypatch, fault, failed):
+    # 1001 rows in blocks of ROW_BLOCK = 64 leave t >= 0.96 to a last,
+    # partial block of 41 rows
+    def corrupted(t, s):
+        return green(t, s) + np.where(np.asarray(t) > 0.96, fault, 0.0)
+
+    monkeypatch.setattr(verify, "green", corrupted)
+    scorecard = verify.run_checks()
+    assert {c["name"] for c in scorecard["checks"] if not c["passed"]} == failed
