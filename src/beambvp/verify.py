@@ -17,8 +17,7 @@ import numpy as np
 
 from .analysis import make_problem
 from .expressions import parse
-from .kernel import (ROW_BLOCK, _nonlocal_sum, green, lower_envelope, strip_lower_bound,
-                     upper_envelope)
+from .kernel import ROW_BLOCK, _nonlocal_sum, green, rho, strip_lower_bound, upper_envelope
 from .oracle import fd_solve_linear, formula_solve_linear
 from .quadrature import default_quadrature, integrate
 from .solver import apply, build_operator, cone_gap, DiscreteFunction
@@ -71,25 +70,40 @@ def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
 def _kernel_checks(thetas, rng):
     grid = np.linspace(0.0, 1.0, GRID_M)
     ss = grid[None, :]
+    # the envelopes' factors in s, which every row block shares
+    profile = ss * (1.0 - ss) ** 2
+    upper = upper_envelope(ss)
+    strip_bounds = {theta: strip_lower_bound(theta, ss) for theta in thetas}
     # running extremes over blocks of ROW_BLOCK t-rows; np.minimum and
-    # np.maximum keep a nan, as np.min over the whole grid would
+    # np.maximum keep a nan, as np.min over the whole grid would. Each
+    # margin is formed in gap, one block-sized buffer.
     g_min = lower_min = triangle_min = np.inf
     upper_max = -np.inf
     strip_min = dict.fromkeys(thetas, np.inf)
+    work = np.empty((ROW_BLOCK, GRID_M))
     for start in range(0, GRID_M, ROW_BLOCK):
         ts = grid[start:start + ROW_BLOCK, None]
+        gap = work[:len(ts)]
         g = green(ts, ss)
         g_min = np.minimum(g_min, np.min(g))
-        lower_min = np.minimum(lower_min, np.min(g - lower_envelope(ts, ss)))
-        upper_max = np.maximum(upper_max, np.max(g - upper_envelope(ss)))
-        for theta in thetas:
-            rows = (ts[:, 0] >= theta) & (ts[:, 0] <= 1.0 - theta)
-            if np.any(rows):
+        np.subtract(g, np.multiply(rho(ts), profile, out=gap), out=gap)
+        lower_min = np.minimum(lower_min, np.min(gap))
+        upper_max = np.maximum(upper_max, np.max(np.subtract(g, upper, out=gap)))
+        for theta, bound in strip_bounds.items():
+            # the block's rows with theta <= t <= 1 - theta
+            rows = slice(np.searchsorted(ts[:, 0], theta),
+                         np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
+            if rows.start < rows.stop:
                 strip_min[theta] = np.minimum(
-                    strip_min[theta], np.min(g[rows] - strip_lower_bound(theta, ss)))
-        # s = 0 <= t, so every row has a point in the triangle
-        triangle_min = np.minimum(triangle_min,
-                                  np.min((g - ss * (ts - ss) ** 2 / 6.0)[ss <= ts]))
+                    strip_min[theta], np.min(np.subtract(g[rows], bound, out=gap[rows])))
+        # G - s (t - s)^2 / 6 on the triangle s <= t; s = 0 <= t, so every
+        # row has a point in it
+        np.subtract(ts, ss, out=gap)
+        np.square(gap, out=gap)
+        gap *= ss
+        gap /= 6.0
+        np.subtract(g, gap, out=gap)
+        triangle_min = np.minimum(triangle_min, np.min(gap, where=ss <= ts, initial=np.inf))
 
     results = [
         _floor("green_nonnegative", float(g_min), -1e-15),

@@ -409,24 +409,28 @@ def test_module_entry_point(tmp_path):
     assert "indeterminate" in proc.stdout
 
 
-def test_solve_and_classify_do_not_load_scipy(tmp_path):
-    # scipy serves only the finite-difference oracle; a fresh process that
-    # solves and classifies must never import it
+def test_every_command_runs_without_scipy(tmp_path):
+    # None in sys.modules makes any import of scipy fail, so a fresh process
+    # with it blocked shows that no command and neither oracle needs scipy
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from beambvp import fd_solve_nonlinear, parse\n"
         "from beambvp.cli import main\n"
         "args = ['--f', sys.argv[1], '--a', 't^2', '--out', sys.argv[2]]\n"
-        "codes = [main(['solve', *args]), main(['classify', *args])]\n"
-        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-        "print(codes, loaded)\n"
+        "codes = [main([command, *args]) for command in ('solve', 'classify', 'green')]\n"
+        "codes.append(main(['verify', '--out', sys.argv[2]]))\n"
+        "fd = fd_solve_nonlinear(parse(sys.argv[3], 'u'), parse('t^2', 't'), 1001)\n"
+        "print(codes, fd.converged)\n"
     )
-    proc = _run_cold("-c", script, F_SUPER, str(tmp_path))
+    proc = _run_cold("-c", script, F_SUPER, str(tmp_path), F_SUB)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"[{EXIT_OK}, {EXIT_OK}] []"
+    assert proc.stdout.splitlines()[-1] == f"{[EXIT_OK] * 4} True"
 
 
 def test_verify_from_a_cold_process(tmp_path):
-    # verify's oracle imports scipy on its first banded solve
+    # the oracles and the kernel sweep in a fresh interpreter, as the
+    # console command runs them
     proc = _run_cold("-m", "beambvp", "verify", "--out", str(tmp_path))
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert json.loads((tmp_path / "verify.json").read_text())["all_passed"]

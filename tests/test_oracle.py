@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beambvp.analysis import make_problem
-from beambvp.errors import HypothesisViolation, InvalidConfig
+from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, SingularSystem
 from beambvp.expressions import parse
 from beambvp.oracle import (
     _bordered_solve,
@@ -75,8 +75,60 @@ def test_fd_matrix_is_the_residuals_jacobian():
     load = rng.normal(size=n - 2)
     change = _fd_residual(u + du, v + dv, load, weights) - _fd_residual(u, v, load, weights)
     step = _bordered_solve(bands, border, change)
-    assert np.max(np.abs(step[0::2] - du)) <= 1e-10
-    assert np.max(np.abs(step[1::2] - dv)) <= 1e-10
+    assert np.max(np.abs(step[1::2] - du)) <= 1e-10
+    assert np.max(np.abs(step[0::2] - dv)) <= 1e-10
+
+
+def _dense(bands, border):
+    """The bordered system as one dense matrix: the core from its bands,
+    bands[k + 2, i] = entry (i, i + k), then the border column and row."""
+    border_col, border_row, corner = border
+    m = len(border_col)
+    matrix = np.zeros((m + 1, m + 1))
+    for k in range(-2, 3):
+        rows = np.arange(max(0, -k), min(m, m - k))
+        matrix[rows, rows + k] = bands[k + 2, rows]
+    matrix[:m, m] = border_col
+    matrix[m, :m] = border_row
+    matrix[m, m] = corner
+    return matrix
+
+
+@pytest.mark.parametrize("n", [21, 201, 401])
+@pytest.mark.parametrize("a", [A_LIN, A_QUAD, parse("1/2", "t")])
+@pytest.mark.parametrize("slope", [0.0, 3.0, 300.0])
+def test_bordered_solve_matches_a_dense_solve(n, a, slope):
+    # Newton's matrix: h^2 f' in the v-rows' u-columns, here f' = slope
+    # times a profile in (0.5, 1], so the coupling varies along the grid
+    _, _, bands, border = _fd_setup(a, n)
+    grid = np.linspace(0.0, 1.0, n)
+    bands[3, 2:-1:2] = slope * (1.0 - grid[1:-1] / 2.0) / (n - 1) ** 2
+    rhs = np.random.default_rng(n).normal(size=2 * n)
+    x = _bordered_solve(bands, border, rhs)
+    expected = np.linalg.solve(_dense(bands, border), rhs)
+    # worst measured over these cases: 2.7e-13 of max |x|
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("row", [0, 1, 200, -2, -1])
+def test_bordered_solve_rejects_a_singular_core(row):
+    _, _, bands, border = _fd_setup(A_LIN, 201)
+    bands[:, row] = 0.0
+    with pytest.raises(SingularSystem):
+        _bordered_solve(bands, border, np.ones(2 * 201))
+
+
+def test_bordered_solve_rejects_a_zero_bordered_pivot():
+    # trapezoid weights integrate 2t to 1, so constant u with v = 0 solves
+    # every row: the core is regular, the bordered system is not
+    _, _, bands, border = _fd_setup(parse("2*t", "t"), 201)
+    with pytest.raises(SingularSystem):
+        _bordered_solve(bands, border, np.ones(2 * 201))
+
+
+def test_fd_rejects_a_load_that_is_not_finite():
+    with pytest.raises(DomainError):
+        fd_solve_linear(lambda s: np.where(s > 0.5, np.nan, 1.0), A_LIN, 101)
 
 
 def test_fd_rejects_tiny_grid():

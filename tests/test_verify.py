@@ -33,7 +33,7 @@ def test_operator_cone_floor_without_a_node_in_the_strip():
 
 
 def test_kernel_sweep_runs_in_bounded_memory(traced_peak):
-    verify.run_checks(5)  # the oracle's lazy scipy import is not the sweep's
+    verify.run_checks(5)  # the first call's one-time allocations are not the sweep's
     # the whole 1001 x 1001 grid at once peaked at 31.6 MiB
     assert traced_peak(lambda: verify.run_checks(5)) <= 8.0
 
