@@ -46,6 +46,9 @@ class RunConfig:
             raise InvalidConfig("tol must be positive and finite")
         if self.max_iter < 1 or self.panels < 1 or self.points < 1:
             raise InvalidConfig("max_iter, panels and points must be positive")
+        if self.seed < 0:
+            # numpy's generators take only nonnegative seeds
+            raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")
         return self
 
     @classmethod

@@ -136,11 +136,10 @@ def _path_checks(rng):
     h = 1.0 / (n - 1)
     for a_text in ("t", "t^2"):
         a = parse(a_text, "t")
-        for _ in range(5):
-            coeffs = rng.uniform(0.0, 2.0, 4)
-            y = lambda s: coeffs[0] + coeffs[1] * s + coeffs[2] * s**2 + coeffs[3] * s**3
-            fd = fd_solve_linear(y, a, n)
-            formula = formula_solve_linear(y, a, q, fd.nodes)
+        coeffs = rng.uniform(0.0, 2.0, (5, 4))
+        fds = [fd_solve_linear(_cubic(c), a, n) for c in coeffs]
+        formulas = formula_solve_linear(_cubic(coeffs), a, q, fds[0].nodes)
+        for fd, formula in zip(fds, formulas):
             err = float(np.max(np.abs(fd.values - formula.values)))
             worst = max(worst, err / h**2)
     return [_ceiling("linear_path_agreement", worst, PATH_EQUIVALENCE_C)]
@@ -153,10 +152,8 @@ def _cone_checks(theta, rng):
     worst_solution = np.inf
     for a_text in ("t", "t^2"):
         linear = make_problem("0*u", a_text, theta, q)
-        for _ in range(10):
-            coeffs = rng.uniform(0.0, 2.0, 4)
-            y = lambda s: coeffs[0] + coeffs[1] * s + coeffs[2] * s**2 + coeffs[3] * s**3
-            u = formula_solve_linear(y, linear.a, q, eval_nodes)
+        coeffs = rng.uniform(0.0, 2.0, (10, 4))
+        for u in formula_solve_linear(_cubic(coeffs), linear.a, q, eval_nodes):
             gap = float(np.min(u.values[strip]) - linear.cone.gamma * np.max(np.abs(u.values)))
             worst_solution = min(worst_solution, gap)
     results = [_floor("solution_cone_floor", worst_solution, -1e-10)]
@@ -169,6 +166,13 @@ def _cone_checks(theta, rng):
         worst_op = min(worst_op, cone_gap(apply(op, u), problem, u))
     results.append(_floor("operator_cone_floor", worst_op, -1e-10))
     return results
+
+
+def _cubic(coeffs):
+    """The load c0 + c1 s + c2 s^2 + c3 s^3 for coefficients of shape (4,),
+    or the batch of k such loads, one row of samples each, for shape (k, 4)."""
+    c = coeffs.T[..., None]
+    return lambda s: c[0] + c[1] * s + c[2] * s**2 + c[3] * s**3
 
 
 def _floor(name, margin, tolerance):

@@ -132,6 +132,27 @@ def test_config_validation():
         RunConfig(tol=-1.0).validate()
     with pytest.raises(InvalidConfig):
         RunConfig(max_iter=0).validate()
+    with pytest.raises(InvalidConfig):
+        RunConfig(seed=-1).validate()
+    RunConfig(seed=0).validate()
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_negative_seed_exits_usage(tmp_path, capsys, command):
+    # numpy rejects a negative seed with a ValueError of its own
+    argv = [command, "--seed", "-1", "--out", str(tmp_path)]
+    if command == "solve":
+        argv += ["--f", F_SUPER, "--a", "t^2"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_seed_in_a_config_exits_usage(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text("[output]\nseed = -1\n")
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 @pytest.mark.parametrize("line", ["tol = nan"])

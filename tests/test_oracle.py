@@ -31,11 +31,13 @@ def one(s):
     return np.ones_like(np.asarray(s, dtype=float))
 
 
-def test_formula_rejects_alpha_outside_the_window():
+@pytest.mark.parametrize("load", [one, lambda s: np.vstack([np.ones_like(s), s])],
+                         ids=["one-load", "batch"])
+def test_formula_rejects_alpha_outside_the_window(load):
     # 2t integrates to 1 (0.9999999999999999 on the rule), which 1/(1 - alpha)
     # cannot scale; the same window as build_operator applies
     with pytest.raises(HypothesisViolation):
-        formula_solve_linear(one, parse("2*t", "t"), default_quadrature(), [0.0, 0.5])
+        formula_solve_linear(load, parse("2*t", "t"), default_quadrature(), [0.0, 0.5])
 
 
 def test_formula_zero_forcing():
@@ -52,6 +54,44 @@ def test_formula_uniform_load_closed_form():
     # with a = t the nonlocal constant is 2 integral t (t^3/18 - t^4/24) dt = 1/120
     u = formula_solve_linear(one, A_LIN, q, ts)
     assert np.max(np.abs(u.values - uniform_load_deflection(ts) - 1.0 / 120.0)) <= 1e-12
+
+
+def _cubic_batch(coeffs):
+    # one row of samples per coefficient row
+    return lambda s: coeffs[:, :1] + coeffs[:, 1:2] * s + coeffs[:, 2:3] * s**2 + coeffs[:, 3:] * s**3
+
+
+@pytest.mark.parametrize("a", [A_ZERO, A_LIN, A_QUAD])
+def test_formula_batch_matches_single_loads(a):
+    q = default_quadrature()
+    ts = np.linspace(0.0, 1.0, 201)
+    coeffs = np.random.default_rng(11).uniform(0.0, 2.0, (7, 4))
+    batch = formula_solve_linear(_cubic_batch(coeffs), a, q, ts)
+    assert isinstance(batch, list) and len(batch) == len(coeffs)
+    for row, u in zip(coeffs, batch):
+        alone = formula_solve_linear(lambda s: row[0] + row[1]*s + row[2]*s**2 + row[3]*s**3,
+                                     a, q, ts)
+        np.testing.assert_array_equal(u.nodes, ts)
+        assert np.max(np.abs(u.values - alone.values)) <= 1e-14 * np.max(np.abs(alone.values))
+
+
+def test_formula_constant_load_is_one_solution():
+    ts = np.linspace(0.0, 1.0, 11)
+    u = formula_solve_linear(lambda s: 1.0, A_LIN, default_quadrature(), ts)
+    assert not isinstance(u, list)
+    assert u.values.shape == ts.shape
+    assert np.array_equal(u.values, formula_solve_linear(one, A_LIN, default_quadrature(), ts).values)
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_formula_batch_rejects_a_load_that_is_not_finite(bad):
+    def loads(s):
+        rows = np.vstack([np.ones_like(s), s, s**2])
+        rows[bad] = np.where(s > 0.5, np.inf, rows[bad])
+        return rows
+
+    with pytest.raises(DomainError):
+        formula_solve_linear(loads, A_LIN, default_quadrature(), [0.0, 0.5, 1.0])
 
 
 def test_fd_zero_forcing():
