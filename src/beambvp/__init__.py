@@ -39,8 +39,6 @@ from .kernel import (
     green,
     kernel_weight,
     lower_envelope,
-    rho,
-    strip_lower_bound,
     upper_envelope,
 )
 from .oracle import fd_solve_linear, fd_solve_nonlinear, formula_solve_linear
@@ -77,7 +75,7 @@ __all__ = [
     "fd_solve_linear", "fd_solve_nonlinear",
     "formula_solve_linear", "green", "integrate", "integrate_on",
     "interpolate", "kernel_weight", "lower_envelope", "make_problem",
-    "make_quadrature", "newton", "parse", "picard", "residuals", "rho",
-    "run_checks", "solve_auto", "strip_lower_bound", "upper_envelope",
+    "make_quadrature", "newton", "parse", "picard", "residuals",
+    "run_checks", "solve_auto", "upper_envelope",
     "validate_hypotheses",
 ]

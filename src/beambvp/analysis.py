@@ -141,7 +141,7 @@ class Certificate:
     epsilon_max = 6(1-alpha) is the reciprocal of the kernel's upper bound
     1/(6(1-alpha)); delta_min is the smallest linear growth that the kernel's
     floor on the strip [theta, 1-theta] turns into expansion,
-    36(1-alpha) / [theta^6 (1-alpha+beta)^2 (1-2 theta)(1/2+theta-theta^2)].
+    36(1-alpha) / [gamma^2 (1-2 theta)(1/2+theta-theta^2)].
     The witness is two radii (Guo & Lakshmikantham, Nonlinear Problems in
     Abstract Cones, 1988; Erbe & Wang, Proc. AMS 120 (1994) 743-748):
 
@@ -192,9 +192,7 @@ def certificate(problem: Problem) -> Certificate:
     _check_alpha(cone.alpha)
     epsilon_max = 6.0 * (1.0 - cone.alpha)
     shell = (1.0 - 2.0 * theta) * (0.5 + theta - theta**2)
-    delta_min = 36.0 * (1.0 - cone.alpha) / (
-        theta**6 * (1.0 - cone.alpha + cone.beta) ** 2 * shell
-    )
+    delta_min = 36.0 * (1.0 - cone.alpha) / (cone.gamma**2 * shell)
     us, fu, _ = _finite_samples(problem.f, log_grid(GRID_LO, GRID_HI))
     compress = np.flatnonzero(np.maximum.accumulate(fu) <= epsilon_max * us)
     # samples k - width .. k cover [gamma u_k, u_k]; count failures in that window

@@ -47,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--theta", type=float, metavar="R", help="cone strip parameter in (0, 1/2)")
     common.add_argument("--seed", type=int, metavar="N", help="seed for randomized checks")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument("--json", action="store_true", help="write only the JSON artifact")
-    common.add_argument("--csv", action="store_true", help="write only the CSV artifact")
 
     parser = _Parser(
         prog="beambvp",
@@ -57,7 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "facts the method rests on.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common], help="find a positive solution")
+    solve_cmd = sub.add_parser("solve", parents=[common], help="find a positive solution")
+    solve_cmd.add_argument("--json", action="store_true", help="write only the JSON artifact")
+    solve_cmd.add_argument("--csv", action="store_true", help="write only the CSV artifact")
     sub.add_parser("verify", parents=[common], help="run the invariant checks")
     sub.add_parser("classify", parents=[common], help="growth classification and thresholds")
     green_cmd = sub.add_parser("green", parents=[common], help="tabulate the kernel to CSV")
@@ -89,7 +89,8 @@ def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     cfg = cfg.override(f_text=args.f, a_text=args.a, theta=args.theta,
                        seed=args.seed, out_dir=args.out)
-    if args.json or args.csv:
+    # only solve takes --json and --csv
+    if getattr(args, "json", False) or getattr(args, "csv", False):
         cfg = cfg.override(write_json=args.json, write_csv=args.csv)
     return cfg.validate()
 
@@ -238,5 +239,4 @@ def _write_csv(path, header, blocks) -> None:
     with open(path, "w") as handle:
         handle.write(header + "\n")
         for block in blocks:
-            for row in block:
-                handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            np.savetxt(handle, block, fmt="%.17g", delimiter=",")

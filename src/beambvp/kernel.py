@@ -68,15 +68,6 @@ def green(t, s):
     return g if g.ndim else float(g)
 
 
-def rho(t):
-    """Lower-envelope profile min(t^3, t^2(1-t))/6."""
-    t = np.asarray(t)
-    if np.any(t < 0) or np.any(t > 1):
-        raise OutOfDomain("rho(t) requires 0 <= t <= 1")
-    r = np.minimum(t**3, t**2 * (1.0 - t)) / 6.0
-    return r if r.ndim else float(r)
-
-
 def upper_envelope(s):
     """s(1-s)^2 / 6, the uniform upper bound on G(., s)."""
     s = np.asarray(s)
@@ -85,14 +76,19 @@ def upper_envelope(s):
 
 
 def lower_envelope(t, s):
-    """rho(t) s(1-s)^2, the uniform lower bound on G."""
-    return rho(t) * np.asarray(s) * (1.0 - np.asarray(s)) ** 2
+    """rho(t) s(1-s)^2 with rho(t) = min(t^3, t^2(1-t))/6, the uniform lower
+    bound on G.
 
-
-def strip_lower_bound(theta, s):
-    """(theta^3/6) s(1-s)^2, valid for all t in [theta, 1-theta]."""
+    rho rises on [0, 2/3] and rho(1 - theta) >= rho(theta) for theta < 1/2,
+    so on a strip theta <= t <= 1 - theta rho is least at t = theta, where
+    it is theta^3/6: lower_envelope(theta, s) is G's floor on the strip.
+    Raises OutOfDomain unless 0 <= t <= 1.
+    """
+    t = np.asarray(t)
     s = np.asarray(s)
-    v = theta**3 / 6.0 * s * (1.0 - s) ** 2
+    if np.any(t < 0) or np.any(t > 1):
+        raise OutOfDomain("lower_envelope(t, s) requires 0 <= t <= 1")
+    v = np.minimum(t**3, t**2 * (1.0 - t)) / 6.0 * s * (1.0 - s) ** 2
     return v if v.ndim else float(v)
 
 

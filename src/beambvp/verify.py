@@ -3,21 +3,20 @@
 Each check recomputes one of the quantitative facts the solver relies
 on (kernel sign and envelopes, representation-vs-finite-difference
 agreement, cone inequalities) and reports its worst margin. The kernel
-checks call this module's `green`, so a test that replaces it with a
-corrupted kernel confirms that the corruption is caught. They sweep the
+checks call this module's `green` (all but the nonlocal weight W, which
+comes from `kernel_weight`), so a test that replaces it with a corrupted
+kernel confirms that the corruption is caught. They sweep the
 GRID_M x GRID_M grid ROW_BLOCK rows at a time and keep running extremes,
 so the sweep's memory is set by the block, not by the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .analysis import make_problem
 from .expressions import parse
-from .kernel import ROW_BLOCK, _nonlocal_sum, green, rho, strip_lower_bound, upper_envelope
+from .kernel import ROW_BLOCK, green, kernel_weight, lower_envelope, upper_envelope
 from .oracle import fd_solve_linear, formula_solve_linear
 from .quadrature import default_quadrature, integrate
 from .solver import apply, build_operator, cone_gap, DiscreteFunction
@@ -34,18 +33,6 @@ PATH_EQUIVALENCE_C = 2.0
 GRID_M = 1001
 
 
-@dataclass
-class CheckResult:
-    name: str
-    margin: float
-    tolerance: float
-    passed: bool
-
-    def as_dict(self):
-        return {"name": self.name, "margin": self.margin,
-                "tolerance": self.tolerance, "passed": self.passed}
-
-
 def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
     """Run every suite; returns a scorecard dict ready for JSON.
 
@@ -53,57 +40,50 @@ def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
     requested (the bounds hold for every theta below one half).
     """
     rng = np.random.default_rng(seed)
+    q = default_quadrature()
     thetas = sorted({0.1, 0.25, 0.4, theta})
-    checks = []
-    checks.extend(_kernel_checks(thetas, rng))
-    checks.extend(_path_checks(rng))
-    checks.extend(_cone_checks(theta, rng))
+    checks = [*_kernel_checks(thetas, rng, q), *_path_checks(rng, q),
+              *_cone_checks(theta, rng, q)]
     return {
         "seed": seed,
         "grid_m": GRID_M,
         "theta": theta,
-        "checks": [c.as_dict() for c in checks],
-        "all_passed": all(c.passed for c in checks),
+        "checks": checks,
+        "all_passed": all(c["passed"] for c in checks),
     }
 
 
-def _kernel_checks(thetas, rng):
+def _kernel_checks(thetas, rng, q):
     grid = np.linspace(0.0, 1.0, GRID_M)
     ss = grid[None, :]
-    # the envelopes' factors in s, which every row block shares
-    profile = ss * (1.0 - ss) ** 2
     upper = upper_envelope(ss)
-    strip_bounds = {theta: strip_lower_bound(theta, ss) for theta in thetas}
+    # G's floor on the strip [theta, 1 - theta] is the lower envelope at theta
+    strip_bounds = {theta: lower_envelope(theta, ss) for theta in thetas}
     # running extremes over blocks of ROW_BLOCK t-rows; np.minimum and
-    # np.maximum keep a nan, as np.min over the whole grid would. Each
-    # margin is formed in gap, one block-sized buffer.
+    # np.maximum keep a nan, as np.min over the whole grid would
     g_min = lower_min = triangle_min = np.inf
     upper_max = -np.inf
     strip_min = dict.fromkeys(thetas, np.inf)
-    work = np.empty((ROW_BLOCK, GRID_M))
     for start in range(0, GRID_M, ROW_BLOCK):
         ts = grid[start:start + ROW_BLOCK, None]
-        gap = work[:len(ts)]
         g = green(ts, ss)
         g_min = np.minimum(g_min, np.min(g))
-        np.subtract(g, np.multiply(rho(ts), profile, out=gap), out=gap)
-        lower_min = np.minimum(lower_min, np.min(gap))
-        upper_max = np.maximum(upper_max, np.max(np.subtract(g, upper, out=gap)))
+        # the lower and triangle margins reuse their fresh bound's buffer; a
+        # second block-sized temporary for each cost ~5% of verify in page faults
+        lower = lower_envelope(ts, ss)
+        lower_min = np.minimum(lower_min, np.min(np.subtract(g, lower, out=lower)))
+        upper_max = np.maximum(upper_max, np.max(g - upper))
         for theta, bound in strip_bounds.items():
             # the block's rows with theta <= t <= 1 - theta
             rows = slice(np.searchsorted(ts[:, 0], theta),
                          np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
             if rows.start < rows.stop:
-                strip_min[theta] = np.minimum(
-                    strip_min[theta], np.min(np.subtract(g[rows], bound, out=gap[rows])))
+                strip_min[theta] = np.minimum(strip_min[theta], np.min(g[rows] - bound))
         # G - s (t - s)^2 / 6 on the triangle s <= t; s = 0 <= t, so every
         # row has a point in it
-        np.subtract(ts, ss, out=gap)
-        np.square(gap, out=gap)
-        gap *= ss
-        gap /= 6.0
-        np.subtract(g, gap, out=gap)
-        triangle_min = np.minimum(triangle_min, np.min(gap, where=ss <= ts, initial=np.inf))
+        triangle = (ts - ss) ** 2 * ss / 6.0
+        np.subtract(g, triangle, out=triangle)
+        triangle_min = np.minimum(triangle_min, np.min(triangle, where=ss <= ts, initial=np.inf))
 
     results = [
         _floor("green_nonnegative", float(g_min), -1e-15),
@@ -119,18 +99,15 @@ def _kernel_checks(thetas, rng):
     jump = green(t_rand, t_rand) - green(t_rand, np.nextafter(t_rand, 1.0))
     results.append(_ceiling("green_branch_match", float(np.max(np.abs(jump))), 1e-15))
 
-    q = default_quadrature()
     a = parse("t^2", "t")
     sgrid = np.linspace(0.0, 1.0, 201)
-    weight = _nonlocal_sum(a, q, green(q.nodes[:, None], sgrid[None, :]))
-    kern = green(np.linspace(0.0, 1.0, 201)[:, None], sgrid[None, :]) + weight[None, :]
+    kern = green(sgrid[:, None], sgrid[None, :]) + kernel_weight(sgrid, a, q)[None, :]
     bound = upper_envelope(sgrid) / (1.0 - integrate(a, q))
     results.append(_ceiling("kernel_upper_bound", float(np.max(kern - bound[None, :])), 1e-12))
     return results
 
 
-def _path_checks(rng):
-    q = default_quadrature()
+def _path_checks(rng, q):
     worst = -np.inf
     n = 201
     h = 1.0 / (n - 1)
@@ -145,8 +122,7 @@ def _path_checks(rng):
     return [_ceiling("linear_path_agreement", worst, PATH_EQUIVALENCE_C)]
 
 
-def _cone_checks(theta, rng):
-    q = default_quadrature()
+def _cone_checks(theta, rng, q):
     eval_nodes = np.linspace(0.0, 1.0, 201)
     strip = (eval_nodes >= theta - 1e-12) & (eval_nodes <= 1.0 - theta + 1e-12)
     worst_solution = np.inf
@@ -176,8 +152,8 @@ def _cubic(coeffs):
 
 
 def _floor(name, margin, tolerance):
-    return CheckResult(name, margin, tolerance, margin >= tolerance)
+    return {"name": name, "margin": margin, "tolerance": tolerance, "passed": margin >= tolerance}
 
 
 def _ceiling(name, margin, tolerance):
-    return CheckResult(name, margin, tolerance, margin <= tolerance)
+    return {"name": name, "margin": margin, "tolerance": tolerance, "passed": margin <= tolerance}

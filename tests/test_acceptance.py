@@ -15,7 +15,7 @@ from beambvp import verify
 from beambvp.analysis import certificate, make_problem
 from beambvp.cli import EXIT_CHECK_FAILED, main
 from beambvp.expressions import parse
-from beambvp.kernel import green, rho
+from beambvp.kernel import green
 from beambvp.oracle import fd_solve_linear, fd_solve_nonlinear, formula_solve_linear
 from beambvp.quadrature import default_quadrature, integrate, integrate_on, make_quadrature
 from beambvp.verify import PATH_EQUIVALENCE_C
@@ -67,7 +67,7 @@ def test_criterion_1_green_bound_suite():
     envelope = s * (1.0 - s) ** 2
 
     nonneg = float(g.min())
-    low_gap = float(np.max(rho(t) * envelope - g))
+    low_gap = float(np.max(np.minimum(t**3, t**2 * (1.0 - t)) / 6.0 * envelope - g))
     high_gap = float(np.max(g - envelope / 6.0))
     strip_gap = -np.inf
     for theta in (0.1, 0.25, 0.4):

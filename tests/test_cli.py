@@ -100,8 +100,14 @@ def test_config_rejects_other_quadrature_rules(tmp_path, capsys, rule):
     ["verify", "--green-offset", "-0.01"],
     ["verify", "--grid-m", "301"],
     ["certificate", "--f", F_SUB, "--a", "t"],
+    # classify, verify and green write one artifact each, so only solve
+    # takes --json and --csv
+    ["classify", "--f", F_SUB, "--a", "t", "--csv"],
+    ["verify", "--csv"],
+    ["green", "--a", "t", "--json"],
 ], ids=["no-command", "unknown-command", "bad-float", "unknown-flag",
-        "verify-green-offset", "verify-grid-m", "certificate"])
+        "verify-green-offset", "verify-grid-m", "certificate",
+        "classify-csv", "verify-csv", "green-json"])
 def test_usage_errors_exit_usage(tmp_path, capsys, argv):
     # argparse's own exit code 2 would read as "no positive solution"
     with pytest.raises(SystemExit) as exc:
@@ -346,6 +352,26 @@ def test_verify_accepts_wide_theta(tmp_path):
     assert "green_strip_floor_theta_0.49" in names
 
 
+@pytest.mark.parametrize("theta, strips", [
+    (0.25, (0.1, 0.25, 0.4)),
+    (0.49, (0.1, 0.25, 0.4, 0.49)),
+])
+def test_verify_json_shape(tmp_path, theta, strips):
+    assert main(["verify", "--theta", str(theta), "--out", str(tmp_path)]) == EXIT_OK
+    scorecard = json.loads((tmp_path / "verify.json").read_text())
+    assert list(scorecard) == ["seed", "grid_m", "theta", "checks", "all_passed"]
+    assert [type(scorecard[key]) for key in scorecard] == [int, int, float, list, bool]
+    assert [c["name"] for c in scorecard["checks"]] == [
+        "green_nonnegative", "green_lower_envelope", "green_upper_envelope",
+        *(f"green_strip_floor_theta_{th}" for th in strips),
+        "green_triangle_floor", "green_branch_match", "kernel_upper_bound",
+        "linear_path_agreement", "solution_cone_floor", "operator_cone_floor",
+    ]
+    for check in scorecard["checks"]:
+        assert list(check) == ["name", "margin", "tolerance", "passed"]
+        assert [type(check[key]) for key in check] == [str, float, float, bool]
+
+
 def test_classify_json_carries_the_witness(tmp_path):
     assert main(["classify", "--f", F_SUPER, "--a", "t^2", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "classify.json").read_text())
@@ -406,6 +432,19 @@ def test_green_kernel_dominates_green(tmp_path):
     rows = np.array([[float(x) for x in line.split(",")] for line in lines])
     assert np.all(rows[:, 3] >= rows[:, 2])              # kernel >= G
     assert np.max(rows[:, 2] - rows[:, 5]) <= 1e-14      # G <= upper envelope
+
+
+def test_csv_writer_matches_per_value_formatting(tmp_path):
+    # the reference is the per-row loop the writer replaced: every value
+    # through f"{x:.17g}", including nan, infinities, -0 and subnormals
+    rng = np.random.default_rng(3)
+    block = np.vstack([
+        [[np.nan, np.inf, -np.inf, -0.0], [5e-324, 1e-300, 1e300, 0.1]],
+        rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-300, 300, (40, 4)),
+    ])
+    cli._write_csv(tmp_path / "t.csv", "a,b,c,d", [block[:17], block[17:]])
+    expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in block)
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n" + expected
 
 
 def test_green_outputs_are_deterministic(tmp_path):
@@ -481,6 +520,19 @@ def test_json_only_artifacts(tmp_path):
     assert code == EXIT_OK
     assert (tmp_path / "report.json").exists()
     assert not (tmp_path / "solution.csv").exists()
+
+
+def test_csv_only_and_json_only_artifacts_match_a_full_solve(tmp_path):
+    args = ["solve", "--f", F_SUB, "--a", "t"]
+    for name, flags in (("full", []), ("json", ["--json"]), ("csv", ["--csv"]),
+                        ("both", ["--json", "--csv"])):
+        assert main([*args, "--out", str(tmp_path / name), *flags]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "json").iterdir()) == ["report.json"]
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == ["solution.csv"]
+    for name, artifact in (("json", "report.json"), ("csv", "solution.csv"),
+                           ("both", "report.json"), ("both", "solution.csv")):
+        assert (tmp_path / name / artifact).read_bytes() == \
+            (tmp_path / "full" / artifact).read_bytes()
 
 
 def test_missing_config_file():

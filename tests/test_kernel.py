@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beambvp.analysis import make_problem, validate_hypotheses
 from beambvp.errors import HypothesisViolation, InvalidConfig, OutOfDomain
@@ -8,8 +10,6 @@ from beambvp.kernel import (
     green,
     kernel_weight,
     lower_envelope,
-    rho,
-    strip_lower_bound,
     upper_envelope,
 )
 from beambvp.quadrature import default_quadrature
@@ -53,15 +53,18 @@ def test_green_out_of_domain():
     with pytest.raises(OutOfDomain):
         green(0.5, 1.5)
     with pytest.raises(OutOfDomain):
-        rho(2.0)
+        lower_envelope(2.0, 0.5)
 
 
-def test_rho_values():
-    assert rho(0.0) == 0.0
-    assert rho(0.5) == pytest.approx(0.125 / 6.0, rel=1e-15)
-    assert rho(0.25) == pytest.approx(0.015625 / 6.0, rel=1e-15)
-    t = np.linspace(0.0, 1.0, 401)
-    assert np.allclose(rho(t), np.minimum(t**3, t**2 * (1 - t)) / 6.0, atol=0)
+def test_lower_envelope_values():
+    # rho(t) = min(t^3, t^2(1-t))/6 times s(1-s)^2, which is 1/8 at s = 1/2
+    assert lower_envelope(0.0, 0.5) == 0.0
+    assert lower_envelope(0.5, 0.5) == pytest.approx(0.125 / 6.0 / 8.0, rel=1e-15)
+    assert lower_envelope(0.25, 0.5) == pytest.approx(0.015625 / 6.0 / 8.0, rel=1e-15)
+    t = np.linspace(0.0, 1.0, 401)[:, None]
+    s = np.linspace(0.0, 1.0, 401)[None, :]
+    rho = np.minimum(t**3, t**2 * (1 - t)) / 6.0
+    assert np.allclose(lower_envelope(t, s), rho * s * (1 - s) ** 2, atol=0)
 
 
 def test_green_nonnegative_and_enveloped():
@@ -77,7 +80,19 @@ def test_green_nonnegative_and_enveloped():
 def test_green_strip_floor(theta):
     t = np.linspace(theta, 1.0 - theta, 301)[:, None]
     s = np.linspace(0.0, 1.0, 301)[None, :]
-    assert np.max(strip_lower_bound(theta, s) - green(t, s)) <= 1e-14
+    assert np.max(lower_envelope(theta, s) - green(t, s)) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(2.0**-52, 0.5, exclude_max=True), s=st.floats(0.0, 1.0))
+def test_strip_floor_is_the_lower_envelope_at_theta(theta, s):
+    # the envelope's t-profile is least over [theta, 1 - theta] at t = theta,
+    # where it is theta^3/6. For theta below about 2^-53 the double 1 - theta
+    # rounds to 1, where the envelope vanishes, so the grid would leave the strip
+    floor = lower_envelope(theta, s)
+    assert abs(floor - theta**3 / 6.0 * s * (1.0 - s) ** 2) <= 4 * np.spacing(floor)
+    t = np.linspace(theta, 1.0 - theta, 201)
+    assert np.all(lower_envelope(t, s) >= floor)
 
 
 def test_green_triangle_floor():
