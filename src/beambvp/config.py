@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import InvalidConfig
-from .quadrature import GAUSS_LEGENDRE
+from .quadrature import GAUSS_LEGENDRE, check_rule
 
 # [quadrature] rule may name the one rule the package has, in these spellings
 _RULE_NAMES = ("gauss", "gauss-legendre", GAUSS_LEGENDRE)
@@ -44,8 +44,9 @@ class RunConfig:
             raise InvalidConfig(f"theta must lie in (0, 1/2), got {self.theta}")
         if not 0.0 < self.tol < math.inf:
             raise InvalidConfig("tol must be positive and finite")
-        if self.max_iter < 1 or self.panels < 1 or self.points < 1:
-            raise InvalidConfig("max_iter, panels and points must be positive")
+        if self.max_iter < 1:
+            raise InvalidConfig("max_iter must be positive")
+        check_rule(self.panels, self.points)
         if self.seed < 0:
             # numpy's generators take only nonnegative seeds
             raise InvalidConfig(f"seed must be nonnegative, got {self.seed}")

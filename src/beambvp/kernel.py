@@ -8,18 +8,23 @@ u(0) = integral_0^1 a(s) u(s) ds, the solution is
 with the triangular Green's function G and the t-independent nonlocal
 weight W(s) = (1/(1-alpha)) integral_0^1 a(tau) G(tau, s) dtau,
 alpha = integral_0^1 a. This module evaluates G and its envelopes, and
-it is the one place the integral condition enters: it owns the window
-that alpha must lie in and the nonlocal sum that gives both W and the
-constant the condition adds to a Green's integral.
+the moments behind the product weights that integrate G exactly against
+each panel's interpolant (product_weights). It is the one place the
+integral condition enters: it owns the window that alpha must lie in and
+the nonlocal sum that gives both W and the constant the condition adds to
+a Green's integral.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .errors import HypothesisViolation, OutOfDomain
 from .expressions import Expression
-from .quadrature import Quadrature, _sample
+from .quadrature import Quadrature, _sample, _reference_rule
 
 # rows that a dense evaluation computes at once (verify's kernel sweep,
 # green.csv, the Nystrom matrix, the Newton-start scan's radii), so that its
@@ -90,6 +95,68 @@ def lower_envelope(t, s):
         raise OutOfDomain("lower_envelope(t, s) requires 0 <= t <= 1")
     v = np.minimum(t**3, t**2 * (1.0 - t)) / 6.0 * s * (1.0 - s) ** 2
     return v if v.ndim else float(v)
+
+
+@lru_cache(maxsize=16)
+def _panel_moments(points: int, panels: int):
+    """Moments of the Lagrange bases of the composite points-point Gauss rule.
+
+    moments[m, j] = integral of s^m l_j(s) over node j's panel, m = 0..3.
+    kink[r] holds the coefficients, in xi^0 .. xi^(p+3), of
+    integral_{-1}^{xi} (xi - x)^3 l_r(x) dx on the reference panel [-1, 1],
+    which expands into the partial moments integral_{-1}^{xi} x^m l_r(x) dx,
+    m = 0..3, each a polynomial in xi. Cached per rule, read-only.
+    """
+    x, _ = _reference_rule(points)
+    # l_r(x) = sum_n basis[n, r] x^n on [-1, 1]
+    basis = np.linalg.inv(np.vander(x, points, increasing=True))
+    partial = np.zeros((4, points, points + 4))
+    for m in range(4):
+        for n in range(points):
+            e = m + n + 1
+            partial[m, :, e] += basis[n] / e
+            partial[m, :, 0] -= basis[n] * (-1.0) ** e / e
+    kink = np.zeros((points, points + 4))
+    for m in range(4):
+        # C(3, m) (-1)^m xi^(3-m) times the m-th partial moment
+        kink[:, 3 - m:] += (1, -3, 3, -1)[m] * partial[m, :, :points + 1 + m]
+    # s = c + h x / 2 on a panel with centre c: expand s^m about c
+    half = 0.5 / panels
+    centre = np.repeat((np.arange(panels) + 0.5) / panels, points)
+    scaled = np.tile(partial.sum(axis=2), panels) * half ** np.arange(1, 5)[:, None]
+    moments = np.array([sum(comb(m, n) * centre ** (m - n) * scaled[n] for n in range(m + 1))
+                        for m in range(4)])
+    for array in (moments, kink):
+        array.setflags(write=False)
+    return moments, kink
+
+
+def product_weights(q: Quadrature, ts):
+    """The moments behind rule q's product-integration weights at the points ts.
+
+    On each panel of q the p nodes carry the Lagrange basis l_j, and the
+    product-integration rule (Atkinson, The Numerical Solution of Integral
+    Equations of the Second Kind, 1997, sec. 4.2) weighs node j by
+    integral G(t, s) l_j(s) ds over its panel. G(t, .) is a cubic on each
+    side of s = t, so every such weight is a sum of moments of l_j:
+
+    * moments[m, j] = integral of s^m l_j(s) over panel(j), m = 0..3, the
+      whole-panel moments, for panels that lie wholly below t;
+    * panel[i], the panel that holds ts[i], and kink[i, r] = integral of
+      (t_i - s)^3 l_r(s) over [lo, t_i] on that panel, its r-th node:
+      partial moments, which are polynomials in t_i.
+
+    The p-point Gauss weights give the moments of degree <= p, so at p >= 3
+    the whole-panel moments equal w_j s_j^m up to rounding; at p = 2 the
+    cubic one does not. They are computed here either way.
+    """
+    ts = np.asarray(ts, dtype=float).ravel()
+    p, panels = q.points_per_panel, q.panels
+    moments, kink_poly = _panel_moments(p, panels)
+    panel = np.minimum((ts * panels).astype(int), panels - 1)
+    xi = 2.0 * (ts * panels - panel) - 1.0
+    kink = (0.5 / panels) ** 4 * (np.vander(xi, p + 4, increasing=True) @ kink_poly.T)
+    return moments, panel, kink
 
 
 def kernel_weight(s, a: Expression, q: Quadrature):

@@ -3,18 +3,26 @@
 Every integral in the package (the boundary-weight moments, the kernel
 weight, the integral operator itself) funnels through this rule. The
 same node set doubles as the collocation grid of the integral-operator
-discretization, so kernel matrices stay square.
+discretization, so kernel matrices stay square, and its panels carry the
+interpolants that the operator's product weights integrate; check_rule
+admits only the point counts at which that operator is nonnegative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, InvalidRange
 
 GAUSS_LEGENDRE = "composite-gauss-legendre"
+
+# points per panel at which the product-integration operator (solver.build_operator)
+# is entrywise nonnegative, as the continuous kernel is; at 3, 5 and 7 to 10
+# points it has negative entries
+ADMISSIBLE_POINTS = (2, 4, 6)
 
 
 @dataclass(frozen=True)
@@ -34,13 +42,22 @@ class Quadrature:
         return self.npoints // self.panels
 
 
+def check_rule(panels: int, points_per_panel: int) -> None:
+    """Raises InvalidConfig unless panels >= 1 and the points per panel are
+    admissible (ADMISSIBLE_POINTS). The one admissibility check, for the
+    library and for config files alike."""
+    if panels < 1:
+        raise InvalidConfig(f"panels must be >= 1, got {panels}")
+    if points_per_panel not in ADMISSIBLE_POINTS:
+        raise InvalidConfig(
+            f"points per panel must be 2, 4 or 6, got {points_per_panel}: at other "
+            "counts the product-integration operator has negative entries")
+
+
 def make_quadrature(panels: int, points_per_panel: int) -> Quadrature:
     """Composite Gauss-Legendre with `panels` equal panels on [0, 1] and
-    2..10 points per panel, all interior."""
-    if panels < 1:
-        raise InvalidConfig("panels must be >= 1")
-    if not 2 <= points_per_panel <= 10:
-        raise InvalidConfig("Gauss-Legendre supports 2..10 points per panel")
+    2, 4 or 6 points per panel, all interior (check_rule)."""
+    check_rule(panels, points_per_panel)
     nodes, weights = _composite_gauss(panels, points_per_panel)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -52,8 +69,18 @@ def default_quadrature() -> Quadrature:
     return make_quadrature(8, 4)
 
 
+@lru_cache(maxsize=None)
+def _reference_rule(points_per_panel: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: computed once
+    per point count (the eigenvalue solve behind them costs about 0.1 ms)."""
+    x, w = np.polynomial.legendre.leggauss(points_per_panel)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _composite_gauss(panels, ppp):
-    x, w = np.polynomial.legendre.leggauss(ppp)
+    x, w = _reference_rule(ppp)
     width = 1.0 / panels
     offsets = np.arange(panels)[:, None] * width
     nodes = (offsets + (x[None, :] + 1.0) * (width / 2.0)).ravel()

@@ -2,19 +2,21 @@
 fixed-point solvers.
 
 The operator  (Au)(t) = integral_0^1 [G(t,s) + W(s)] f(u(s)) ds  is
-discretized by replacing the integral with the quadrature rule and
-collocating at its nodes (Nystrom). Positive fixed points of the
+discretized by product integration (Atkinson, The Numerical Solution of
+Integral Equations of the Second Kind, 1997, sec. 4.2): f(u) is replaced
+by its interpolant on each panel of the quadrature rule, G times that
+interpolant is integrated exactly, split at the kink s = t, and the
+equation is collocated at the rule's nodes. Positive fixed points of the
 resulting finite map are located by damped Picard iteration and by a
 damped Newton method, whose starts solve_auto reads off the operator.
 
 Each solve ends with one a-posteriori error estimate of the returned
-solution (Atkinson, The Numerical Solution of Integral Equations of the
-Second Kind, 1997, sec. 4.2). The natural interpolant
-u_I(t) = sum_j [G(t, s_j) + W(s_j)] w_j f(u_j) is fed to the operator
-discretized by the same rule with twice the panels, A'; the defect
-max |A'[u_I] - u_I| at the refined nodes estimates the distance to the
-true solution in solution units. The interpolant and the refined sum are
-one routine, _green_sum, on two rules.
+solution. The natural interpolant
+u_I(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j) is fed to the
+operator discretized by the same rule with twice the panels, A'; the
+defect max |A'[u_I] - u_I| at the refined nodes estimates the distance
+to the true solution in solution units. The interpolant and the refined
+sum are one routine, _green_sum, on two rules.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .analysis import Certificate, Problem, certificate, log_grid
 from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
-from .kernel import ROW_BLOCK, _nonlocal_sum, green
+from .kernel import ROW_BLOCK, _nonlocal_sum, green, product_weights
 from .quadrature import Quadrature, make_quadrature
 
 # an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
@@ -58,7 +60,7 @@ class DiscreteFunction:
 
 @dataclass
 class NystromOperator:
-    """Dense collocation matrix K[i, j] = (G(t_i, s_j) + W(s_j)) w_j, and the
+    """Dense collocation matrix K of build_operator, and the
     problem's certificate, whose radii bracket the Newton starts and set
     the overflow guard."""
 
@@ -94,21 +96,39 @@ class SolveReport:
 
 
 def build_operator(problem: Problem) -> NystromOperator:
-    """Assemble the collocation matrix on the problem's quadrature.
+    """Assemble K[i, j] = integral G(t_i, s) l_j(s) ds + W_j on the problem's rule.
 
-    The weight column W(s_j) = sum_i a(s_i) w_i G(s_i, s_j) / (1 - alpha)
-    comes from the same Green's matrix and the same rule as alpha, so the
-    discrete operator inherits the continuous positivity structure exactly.
+    l_j is the Lagrange basis of node j's panel, and the weights are those
+    of product_weights. The plain matrix G(t_i, s_j) w_j is filled first. It
+    is exact on the panels above t_i, and on those wholly below it up to the
+    cubic moment, so the panel that holds t_i gets its exact weights and the
+    panels below it the cubic moment's difference from the plain weight
+    (which is rounding except at 2 points per panel). The weight column
+    W_j = sum_i a(s_i) w_i K_G[i, j] / (1 - alpha) comes from the same
+    Green's rows and the same rule as alpha. At 2, 4 and 6 points per panel
+    every entry is nonnegative, as the continuous kernel is.
     """
     q, n = problem.quad, problem.quad.npoints
-    # G is filled ROW_BLOCK rows at a time and finished into K in place, so
+    s, w, p = q.nodes, q.weights, q.points_per_panel
+    moments, panel, kink = product_weights(q, s)
+    # whole panels below t_i: the plain weights give every moment up to s^2
+    # exactly, and the cube's up to rounding at p >= 3 but not at p = 2
+    cubic = (moments[3] - w * s**3) / 6.0
+    # G w is filled ROW_BLOCK rows at a time and corrected into K in place, so
     # assembly holds one N x N array
     kmat = np.empty((n, n))
     for start in range(0, n, ROW_BLOCK):
-        kmat[start:start + ROW_BLOCK] = green(q.nodes[start:start + ROW_BLOCK, None],
-                                              q.nodes[None, :])
+        rows = slice(start, start + ROW_BLOCK)
+        block = kmat[rows]
+        block[:] = green(s[rows, None], s[None, :]) * w
+        np.add(block, cubic, out=block, where=panel[None, :] < panel[rows, None])
+    # the panel that holds t_i: its plain hump w_j (t_i - s_j)_+^3 becomes the
+    # exact one; t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate
+    own = np.arange(n).reshape(q.panels, p)
+    t, sj = s[own][:, :, None], s[own][:, None, :]
+    plain = w[own][:, None, :] * np.maximum(t - sj, 0.0) ** 3
+    kmat[own[:, :, None], own[:, None, :]] += (plain - kink.reshape(q.panels, p, p)) / 6.0
     kmat += _nonlocal_sum(problem.a, q, kmat)[None, :]
-    kmat *= q.weights[None, :]
     return NystromOperator(q, kmat, problem, certificate(problem))
 
 
@@ -348,7 +368,8 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
 
 
 def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
-    """Natural interpolation u(t) = sum_j [G(t, s_j) + W(s_j)] w_j f(u_j).
+    """Natural interpolation u(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j),
+    with the operator's product weights.
 
     Raises OutOfDomain for t outside [0, 1].
     """
@@ -356,23 +377,28 @@ def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
 
 
 def _green_sum(problem: Problem, q: Quadrature, g, ts) -> np.ndarray:
-    """sum_j [G(t, s_j) + W(s_j)] w_j g_j at ts on the rule q, in O((N + T) log N).
+    """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, the
+    weights of build_operator, in O((N + T) p).
 
-    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6 and the rule's sorted
-    nodes, the sum over s_j <= t expands into prefix sums of the moments
-    s^p w g, p = 0..3; searchsorted finds each prefix. Since G(0, s) = 0
-    the nonlocal part is one constant, the nonlocal sum of the Green's
-    part at the rule's own nodes.
+    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6, the hump (t-s)_+^3 over
+    the panels wholly below t expands into prefix sums, over panels, of the
+    whole-panel moments of g, and the panel that holds t adds its partial
+    moments (product_weights). Since G(0, s) = 0 the nonlocal part is one
+    constant, the nonlocal sum of the Green's part at the rule's own nodes.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(ts > 1):
         raise OutOfDomain("interpolation points must lie in [0, 1]")
-    s, wg = q.nodes, q.weights * g
-    m0, m1, m2, m3 = (np.concatenate(([0.0], np.cumsum(wg * s**p))) for p in range(4))
+    s, p = q.nodes, q.points_per_panel
     # the Green's part at the evaluation points, then at the nodes
     t = np.concatenate([ts.ravel(), s])
-    k = np.searchsorted(s, t, side="right")
-    hump = t**3 * m0[k] - 3.0 * t**2 * m1[k] + 3.0 * t * m2[k] - m3[k]
-    green_part = (t**3 * np.dot(wg, (1.0 - s) ** 2) - hump) / 6.0
+    moments, panel, kink = product_weights(q, t)
+    per_panel = np.cumsum((moments * g).reshape(4, q.panels, p).sum(axis=2), axis=1)
+    m0, m1, m2, m3 = np.concatenate([np.zeros((4, 1)), per_panel], axis=1)[:, panel]
+    t2 = t * t
+    hump = (t2 * t * m0 - 3.0 * t2 * m1 + 3.0 * t * m2 - m3
+            + np.sum(kink * np.reshape(g, (q.panels, p))[panel], axis=1))
+    # t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate exactly
+    green_part = (t2 * t * np.dot(q.weights * g, (1.0 - s) ** 2) - hump) / 6.0
     const = _nonlocal_sum(problem.a, q, green_part[ts.size:])
     return np.reshape(green_part[:ts.size] + const, ts.shape)

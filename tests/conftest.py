@@ -2,6 +2,8 @@ import tracemalloc
 
 import pytest
 
+from beambvp.oracle import fd_solve_nonlinear
+
 
 @pytest.fixture
 def traced_peak():
@@ -14,3 +16,17 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return measure
+
+
+@pytest.fixture
+def double_extrapolation():
+    """reference(problem, start, grids): fd_solve_nonlinear on three doubling
+    grids, started from start, extrapolated twice (h^2, then h^3) on the
+    points of the coarsest one."""
+    def reference(problem, start, grids):
+        v1, v2, v3 = (fd_solve_nonlinear(problem.f, problem.a, n, start).values
+                      for n in grids)
+        r2 = (4.0 * v2[::2] - v1) / 3.0
+        r3 = (4.0 * v3[::4] - v2[::2]) / 3.0
+        return (8.0 * r3 - r2) / 7.0
+    return reference

@@ -20,6 +20,7 @@ from beambvp.cli import (
 from beambvp.config import RunConfig
 from beambvp.errors import InvalidConfig
 from beambvp.kernel import green
+from beambvp.quadrature import make_quadrature
 
 F_SUPER = "u^2*(exp(-u)+1)"
 F_SUB = "sqrt(1+u)+sin(u)"
@@ -141,6 +142,30 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         RunConfig(seed=-1).validate()
     RunConfig(seed=0).validate()
+
+
+@pytest.mark.parametrize("panels, points", [(8, 0), (8, 3), (8, 5), (8, 11), (0, 4)])
+def test_config_and_library_share_the_rule_check(panels, points):
+    # one check: the config refuses exactly what make_quadrature refuses
+    with pytest.raises(InvalidConfig) as from_config:
+        RunConfig(panels=panels, points=points).validate()
+    with pytest.raises(InvalidConfig) as from_library:
+        make_quadrature(panels, points)
+    assert str(from_config.value) == str(from_library.value)
+
+
+@pytest.mark.parametrize("command", ["solve", "classify", "verify", "green"])
+@pytest.mark.parametrize("points", [3, 5, 10])
+def test_inadmissible_points_in_a_config_exit_usage(tmp_path, capsys, command, points):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n"
+                    f"[quadrature]\npoints = {points}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: points per panel must be 2, 4 or 6, got {points}:")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "solve"])

@@ -280,26 +280,17 @@ def test_fd_nonlinear_converges_where_long_double_is_double(monkeypatch, f, a, q
     assert fd.iterations <= 5
 
 
-def _double_extrapolation(problem, start, grids):
-    """Two Richardson steps (h^2, then h^3) on three doubling grids, on
-    the points of the coarsest one."""
-    v1, v2, v3 = (fd_solve_nonlinear(problem.f, problem.a, n, start).values for n in grids)
-    r2 = (4.0 * v2[::2] - v1) / 3.0
-    r3 = (4.0 * v3[::4] - v2[::2]) / 3.0
-    return (8.0 * r3 - r2) / 7.0
-
-
 @pytest.mark.parametrize("f, a", [
     ("3.51*(sqrt(1+u)+sin(u))", "3.2*t^3"),
     ("2.51*(sqrt(1+u)+sin(u))", "1.99*t^2"),
 ])
-def test_extrapolated_reference_noise_floor(f, a):
+def test_extrapolated_reference_noise_floor(double_extrapolation, f, a):
     # the coarse and fine double extrapolations differ by their O(h^4)
     # truncation error plus the rounding floor of the float64 residual;
     # at 2e-11 of sup u that floor leaves room for the benchmark's
     # reference to judge errors of ~1e-9
     problem = make_problem(f, a)
     start = solve_auto(problem).solution
-    coarse = _double_extrapolation(problem, start, (1001, 2001, 4001))
-    fine = _double_extrapolation(problem, start, (2001, 4001, 8001))
+    coarse = double_extrapolation(problem, start, (1001, 2001, 4001))
+    fine = double_extrapolation(problem, start, (2001, 4001, 8001))
     assert np.max(np.abs(coarse - fine[::2])) <= 2e-11 * np.max(np.abs(fine))

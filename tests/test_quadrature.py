@@ -4,6 +4,7 @@ import pytest
 from beambvp.errors import DomainError, InvalidConfig, InvalidRange
 from beambvp.expressions import parse
 from beambvp.quadrature import (
+    ADMISSIBLE_POINTS,
     default_quadrature,
     integrate,
     integrate_on,
@@ -27,7 +28,7 @@ def test_default_rule_shape():
     assert np.all(q.weights > 0)
 
 
-@pytest.mark.parametrize("panels,ppp", [(5, 3), (2, 10)])
+@pytest.mark.parametrize("panels,ppp", [(5, 2), (3, 6)])
 def test_weights_normalized(panels, ppp):
     q = make_quadrature(panels, ppp)
     assert abs(q.weights.sum() - 1.0) <= 1e-14
@@ -35,7 +36,7 @@ def test_weights_normalized(panels, ppp):
     assert q.npoints == panels * ppp and q.points_per_panel == ppp
 
 
-@pytest.mark.parametrize("points", range(2, 8))
+@pytest.mark.parametrize("points", ADMISSIBLE_POINTS)
 def test_gauss_exact_on_monomials(points):
     # p-point Gauss integrates degree <= 2p-1 exactly on each panel
     q = make_quadrature(3, points)
@@ -88,7 +89,7 @@ def test_invalid_range():
         integrate_on(lambda s: s, 0.5, 1.1, q)
 
 
-@pytest.mark.parametrize("panels,ppp", [(0, 4), (4, 1), (4, 11)])
+@pytest.mark.parametrize("panels,ppp", [(0, 4), (4, 0), (4, 1), (4, 3), (4, 5), (4, 7), (4, 10), (4, 11)])
 def test_invalid_config(panels, ppp):
     with pytest.raises(InvalidConfig):
         make_quadrature(panels, ppp)
