@@ -41,7 +41,7 @@ from .kernel import (
     lower_envelope,
     upper_envelope,
 )
-from .oracle import fd_solve_linear, fd_solve_nonlinear, formula_solve_linear
+from .oracle import fd_solve_linear, fd_solve_nonlinear
 from .quadrature import (
     Quadrature,
     default_quadrature,
@@ -72,8 +72,7 @@ __all__ = [
     "Overflow", "ParseError", "Problem", "Quadrature", "RunConfig", "SingularJacobian",
     "SingularSystem", "SolveReport", "ValidationReport", "apply",
     "build_operator", "certificate", "default_quadrature",
-    "fd_solve_linear", "fd_solve_nonlinear",
-    "formula_solve_linear", "green", "integrate", "integrate_on",
+    "fd_solve_linear", "fd_solve_nonlinear", "green", "integrate", "integrate_on",
     "interpolate", "kernel_weight", "lower_envelope", "make_problem",
     "make_quadrature", "newton", "parse", "picard", "residuals",
     "run_checks", "solve_auto", "upper_envelope",

@@ -1,23 +1,19 @@
-"""Independent verification paths for the linear and nonlinear problems.
+"""Independent finite-difference paths for the linear and nonlinear problems.
 
-Two ways to solve u'''' + y = 0 with u'(0) = u'(1) = u''(0) = 0 and
-u(0) = integral a u:
+fd_solve_linear solves u'''' + y = 0 with u'(0) = u'(1) = u''(0) = 0 and
+u(0) = integral a u by discretizing the differential equation directly
+on a uniform grid; it never touches the kernel. It works in mixed form,
+u'' = v and v'' = -y, with 3-point interior stencils, one-sided
+second-order slopes at both ends and trapezoid weights in the nonlocal
+row. Its residual cancels only to O(h^2 u''), so double precision
+suffices at every grid the oracle is used on. The banded system is
+solved here, by elimination in O(n) Python float operations, so the
+oracle needs nothing beyond numpy.
 
-* formula_solve_linear evaluates the closed-form kernel representation,
-  splitting the Green's integral at the kernel's diagonal kink so smooth
-  forcings are integrated at full rule accuracy. It takes a batch of loads
-  as readily as one, and evaluates the kernel once for the whole batch;
-* fd_solve_linear discretizes the differential equation directly on a
-  uniform grid and never touches the kernel. It works in mixed form,
-  u'' = v and v'' = -y, with 3-point interior stencils, one-sided
-  second-order slopes at both ends and trapezoid weights in the nonlocal
-  row. Its residual cancels only to O(h^2 u''), so double precision
-  suffices at every grid the oracle is used on. The banded system is
-  solved here, by elimination in O(n) Python float operations, so the
-  oracle needs nothing beyond numpy.
-
-Disagreement between the two exposes a bug in either. fd_solve_nonlinear
-extends the second path to u'''' + f(u) = 0 by Newton iteration.
+verify checks the production Green's sum, the one behind the solver's
+interpolate and residuals, against this path; disagreement exposes a bug
+in either. fd_solve_nonlinear extends the path to u'''' + f(u) = 0 by
+Newton iteration.
 """
 
 from __future__ import annotations
@@ -28,56 +24,13 @@ import numpy as np
 
 from .errors import DomainError, InvalidConfig, SingularSystem
 from .expressions import Expression
-from .kernel import _nonlocal_sum, green
-from .quadrature import Quadrature, _sample
+from .quadrature import _sample
 from .solver import DiscreteFunction
 
 # fd_solve_nonlinear's Newton stops once a step moves u by at most
 # FD_TOL max(1, ||u||), and gives up after FD_MAX_ITER steps
 FD_TOL = 1e-10
 FD_MAX_ITER = 100
-
-
-def formula_solve_linear(y, a: Expression, q: Quadrature,
-                         eval_nodes) -> DiscreteFunction | list[DiscreteFunction]:
-    """Closed-form solution u(t) = (Gy)(t) + c, (Gy)(t) = integral G(t, s) y(s) ds.
-
-    The s-integral is split at s = t (the kernel is polynomial on each
-    side), so polynomial forcings are resolved to near machine precision.
-    Since G(0, s) = 0, the nonlocal condition u(0) = integral a u makes c
-    the constant integral a(s) (Gy)(s) ds / (1 - alpha); Gy is smooth, so
-    the rule integrates it without a split.
-
-    y may hold a batch of k loads: called on the S sample points, it then
-    returns one row of samples per load, shape (k, S), and the call returns
-    a list of k DiscreteFunctions. G is evaluated once for the whole batch.
-    A y that returns shape (S,) or a scalar is one load, and the call
-    returns one DiscreteFunction. Raises DomainError when any load is not
-    finite at a sample point, and HypothesisViolation when alpha is outside
-    the window that 1/(1 - alpha) admits.
-    """
-    ts = np.atleast_1d(np.asarray(eval_nodes, dtype=float))
-    # Gy at the evaluation points and at the rule's nodes, from the rule
-    # mapped onto [0, t] and [t, 1]: lo and width have shape (T, 2, 1)
-    t = np.concatenate([ts, q.nodes])[:, None, None]
-    lo = np.concatenate([np.zeros_like(t), t], axis=1)
-    width = np.concatenate([t, 1.0 - t], axis=1)
-    s = lo + width * q.nodes
-    samples = np.asarray(y(s.ravel()), dtype=float)
-    batched = samples.ndim == 2
-    # G is finite, so checking the samples checks the integrand, without the
-    # invalid-value warning that inf times a zero G would raise
-    if not np.all(np.isfinite(samples)):
-        raise DomainError("integrand is not finite at a quadrature node")
-    # one row of samples per load, a single load being a batch of one;
-    # gy has shape (k, T, 2, Q)
-    loads = np.broadcast_to(samples, (len(samples) if batched else 1, s.size))
-    gy = green(t, s) * loads.reshape(-1, *s.shape)
-    green_part = np.sum(width[:, :, 0] * (gy @ q.weights), axis=-1)
-    nonlocal_term = _nonlocal_sum(a, q, green_part[:, len(ts):].T)
-    values = green_part[:, :len(ts)] + nonlocal_term[:, None]
-    solutions = [DiscreteFunction(ts, row) for row in values]
-    return solutions if batched else solutions[0]
 
 
 @dataclass

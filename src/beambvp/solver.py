@@ -27,6 +27,7 @@ import numpy as np
 
 from .analysis import Certificate, Problem, certificate, log_grid
 from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
+from .expressions import Expression
 from .kernel import ROW_BLOCK, _nonlocal_sum, green, product_weights
 from .quadrature import Quadrature, make_quadrature
 
@@ -364,7 +365,7 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
         raise InvalidConfig("grid function does not live on the problem's nodes")
     fine = make_quadrature(2 * q.panels, q.points_per_panel)
     u_fine = interpolate(u, problem, fine.nodes)
-    return float(np.max(np.abs(_green_sum(problem, fine, problem.f(u_fine), fine.nodes) - u_fine)))
+    return float(np.max(np.abs(_green_sum(problem.a, fine, problem.f(u_fine), fine.nodes) - u_fine)))
 
 
 def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
@@ -373,12 +374,12 @@ def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
 
     Raises OutOfDomain for t outside [0, 1].
     """
-    return _green_sum(problem, problem.quad, problem.f(u.values), ts)
+    return _green_sum(problem.a, problem.quad, problem.f(u.values), ts)
 
 
-def _green_sum(problem: Problem, q: Quadrature, g, ts) -> np.ndarray:
-    """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, the
-    weights of build_operator, in O((N + T) p).
+def _green_sum(a: Expression, q: Quadrature, g, ts) -> np.ndarray:
+    """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, W
+    that of the weight a: the weights of build_operator, in O((N + T) p).
 
     With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6, the hump (t-s)_+^3 over
     the panels wholly below t expands into prefix sums, over panels, of the
@@ -400,5 +401,5 @@ def _green_sum(problem: Problem, q: Quadrature, g, ts) -> np.ndarray:
             + np.sum(kink * np.reshape(g, (q.panels, p))[panel], axis=1))
     # t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate exactly
     green_part = (t2 * t * np.dot(q.weights * g, (1.0 - s) ** 2) - hump) / 6.0
-    const = _nonlocal_sum(problem.a, q, green_part[ts.size:])
+    const = _nonlocal_sum(a, q, green_part[ts.size:])
     return np.reshape(green_part[:ts.size] + const, ts.shape)

@@ -2,12 +2,16 @@
 
 Each check recomputes one of the quantitative facts the solver relies
 on (kernel sign and envelopes, representation-vs-finite-difference
-agreement, cone inequalities) and reports its worst margin. The kernel
-checks call this module's `green` (all but the nonlocal weight W, which
-comes from `kernel_weight`), so a test that replaces it with a corrupted
-kernel confirms that the corruption is caught. They sweep the
-GRID_M x GRID_M grid ROW_BLOCK rows at a time and keep running extremes,
-so the sweep's memory is set by the block, not by the grid.
+agreement, cone inequalities) and reports its worst margin. The
+representation u = integral [G + W] y is the solver's own Green's sum,
+the one behind interpolate and residuals, taken on random cubic loads;
+the finite-difference oracle solves the same problems without the
+kernel. The kernel checks call this module's `green` (all but the
+nonlocal weight W, which comes from `kernel_weight`), so a test that
+replaces it with a corrupted kernel confirms that the corruption is
+caught. They sweep the GRID_M x GRID_M grid ROW_BLOCK rows at a time
+and keep running extremes, so the sweep's memory is set by the block,
+not by the grid.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import numpy as np
 from .analysis import make_problem
 from .expressions import parse
 from .kernel import ROW_BLOCK, green, kernel_weight, lower_envelope, upper_envelope
-from .oracle import fd_solve_linear, formula_solve_linear
+from .oracle import fd_solve_linear
 from .quadrature import default_quadrature, integrate
-from .solver import apply, build_operator, cone_gap, DiscreteFunction
+from .solver import _green_sum, apply, build_operator, cone_gap, DiscreteFunction
 
 # Calibrated against the second-order scheme: worst observed sup-error / h^2
 # is 0.229 over 5 seeds x {t, t^2, 1/2} x 20 quintic forcings x n in
@@ -113,11 +117,10 @@ def _path_checks(rng, q):
     h = 1.0 / (n - 1)
     for a_text in ("t", "t^2"):
         a = parse(a_text, "t")
-        coeffs = rng.uniform(0.0, 2.0, (5, 4))
-        fds = [fd_solve_linear(_cubic(c), a, n) for c in coeffs]
-        formulas = formula_solve_linear(_cubic(coeffs), a, q, fds[0].nodes)
-        for fd, formula in zip(fds, formulas):
-            err = float(np.max(np.abs(fd.values - formula.values)))
+        for c in rng.uniform(0.0, 2.0, (5, 4)):
+            y = _cubic(c)
+            fd = fd_solve_linear(y, a, n)
+            err = float(np.max(np.abs(fd.values - _green_sum(a, q, y(q.nodes), fd.nodes))))
             worst = max(worst, err / h**2)
     return [_ceiling("linear_path_agreement", worst, PATH_EQUIVALENCE_C)]
 
@@ -128,9 +131,9 @@ def _cone_checks(theta, rng, q):
     worst_solution = np.inf
     for a_text in ("t", "t^2"):
         linear = make_problem("0*u", a_text, theta, q)
-        coeffs = rng.uniform(0.0, 2.0, (10, 4))
-        for u in formula_solve_linear(_cubic(coeffs), linear.a, q, eval_nodes):
-            gap = float(np.min(u.values[strip]) - linear.cone.gamma * np.max(np.abs(u.values)))
+        for c in rng.uniform(0.0, 2.0, (10, 4)):
+            u = _green_sum(linear.a, q, _cubic(c)(q.nodes), eval_nodes)
+            gap = float(np.min(u[strip]) - linear.cone.gamma * np.max(np.abs(u)))
             worst_solution = min(worst_solution, gap)
     results = [_floor("solution_cone_floor", worst_solution, -1e-10)]
 
@@ -144,10 +147,8 @@ def _cone_checks(theta, rng, q):
     return results
 
 
-def _cubic(coeffs):
-    """The load c0 + c1 s + c2 s^2 + c3 s^3 for coefficients of shape (4,),
-    or the batch of k such loads, one row of samples each, for shape (k, 4)."""
-    c = coeffs.T[..., None]
+def _cubic(c):
+    """The load c0 + c1 s + c2 s^2 + c3 s^3."""
     return lambda s: c[0] + c[1] * s + c[2] * s**2 + c[3] * s**3
 
 

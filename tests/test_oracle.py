@@ -10,10 +10,9 @@ from beambvp.oracle import (
     _fd_setup,
     fd_solve_linear,
     fd_solve_nonlinear,
-    formula_solve_linear,
 )
 from beambvp.quadrature import default_quadrature, make_quadrature
-from beambvp.solver import solve_auto
+from beambvp.solver import _green_sum, solve_auto
 from beambvp.verify import PATH_EQUIVALENCE_C
 
 A_ZERO = parse("0*t", "t")
@@ -31,67 +30,33 @@ def one(s):
     return np.ones_like(np.asarray(s, dtype=float))
 
 
-@pytest.mark.parametrize("load", [one, lambda s: np.vstack([np.ones_like(s), s])],
-                         ids=["one-load", "batch"])
-def test_formula_rejects_alpha_outside_the_window(load):
+def green_sum(y, a, q, ts):
+    """u = integral [G + W] y at ts: the solver's Green's sum, which verify
+    checks against the finite-difference path."""
+    return _green_sum(a, q, y(q.nodes), ts)
+
+
+def test_green_sum_rejects_alpha_outside_the_window():
     # 2t integrates to 1 (0.9999999999999999 on the rule), which 1/(1 - alpha)
-    # cannot scale; the same window as build_operator applies
+    # cannot scale; _nonlocal_sum holds the window for every path
     with pytest.raises(HypothesisViolation):
-        formula_solve_linear(load, parse("2*t", "t"), default_quadrature(), [0.0, 0.5])
+        green_sum(one, parse("2*t", "t"), default_quadrature(), [0.0, 0.5])
 
 
-def test_formula_zero_forcing():
+def test_green_sum_zero_forcing():
     q = default_quadrature()
-    u = formula_solve_linear(lambda s: np.zeros_like(s), A_LIN, q, np.linspace(0, 1, 21))
-    assert np.max(np.abs(u.values)) == 0.0
+    u = green_sum(lambda s: np.zeros_like(s), A_LIN, q, np.linspace(0, 1, 21))
+    assert np.max(np.abs(u)) == 0.0
 
 
-def test_formula_uniform_load_closed_form():
+def test_green_sum_uniform_load_closed_form():
     q = default_quadrature()
     ts = np.linspace(0.0, 1.0, 101)
-    u = formula_solve_linear(one, A_ZERO, q, ts)
-    assert np.max(np.abs(u.values - uniform_load_deflection(ts))) <= 1e-10
+    u = green_sum(one, A_ZERO, q, ts)
+    assert np.max(np.abs(u - uniform_load_deflection(ts))) <= 1e-10
     # with a = t the nonlocal constant is 2 integral t (t^3/18 - t^4/24) dt = 1/120
-    u = formula_solve_linear(one, A_LIN, q, ts)
-    assert np.max(np.abs(u.values - uniform_load_deflection(ts) - 1.0 / 120.0)) <= 1e-12
-
-
-def _cubic_batch(coeffs):
-    # one row of samples per coefficient row
-    return lambda s: coeffs[:, :1] + coeffs[:, 1:2] * s + coeffs[:, 2:3] * s**2 + coeffs[:, 3:] * s**3
-
-
-@pytest.mark.parametrize("a", [A_ZERO, A_LIN, A_QUAD])
-def test_formula_batch_matches_single_loads(a):
-    q = default_quadrature()
-    ts = np.linspace(0.0, 1.0, 201)
-    coeffs = np.random.default_rng(11).uniform(0.0, 2.0, (7, 4))
-    batch = formula_solve_linear(_cubic_batch(coeffs), a, q, ts)
-    assert isinstance(batch, list) and len(batch) == len(coeffs)
-    for row, u in zip(coeffs, batch):
-        alone = formula_solve_linear(lambda s: row[0] + row[1]*s + row[2]*s**2 + row[3]*s**3,
-                                     a, q, ts)
-        np.testing.assert_array_equal(u.nodes, ts)
-        assert np.max(np.abs(u.values - alone.values)) <= 1e-14 * np.max(np.abs(alone.values))
-
-
-def test_formula_constant_load_is_one_solution():
-    ts = np.linspace(0.0, 1.0, 11)
-    u = formula_solve_linear(lambda s: 1.0, A_LIN, default_quadrature(), ts)
-    assert not isinstance(u, list)
-    assert u.values.shape == ts.shape
-    assert np.array_equal(u.values, formula_solve_linear(one, A_LIN, default_quadrature(), ts).values)
-
-
-@pytest.mark.parametrize("bad", [0, 2])
-def test_formula_batch_rejects_a_load_that_is_not_finite(bad):
-    def loads(s):
-        rows = np.vstack([np.ones_like(s), s, s**2])
-        rows[bad] = np.where(s > 0.5, np.inf, rows[bad])
-        return rows
-
-    with pytest.raises(DomainError):
-        formula_solve_linear(loads, A_LIN, default_quadrature(), [0.0, 0.5, 1.0])
+    u = green_sum(one, A_LIN, q, ts)
+    assert np.max(np.abs(u - uniform_load_deflection(ts) - 1.0 / 120.0)) <= 1e-12
 
 
 def test_fd_zero_forcing():
@@ -179,8 +144,7 @@ def test_fd_rejects_tiny_grid():
 def test_paths_agree_uniform_load_nonlocal():
     q = default_quadrature()
     fd = fd_solve_linear(one, A_LIN, 401)
-    formula = formula_solve_linear(one, A_LIN, q, fd.nodes)
-    assert np.max(np.abs(fd.values - formula.values)) <= 1e-4
+    assert np.max(np.abs(fd.values - green_sum(one, A_LIN, q, fd.nodes))) <= 1e-4
 
 
 def test_fd_second_order_convergence():
@@ -189,8 +153,7 @@ def test_fd_second_order_convergence():
     errors = {}
     for n in (201, 401, 801):
         fd = fd_solve_linear(y, A_QUAD, n)
-        formula = formula_solve_linear(y, A_QUAD, q, fd.nodes)
-        errors[n] = np.max(np.abs(fd.values - formula.values))
+        errors[n] = np.max(np.abs(fd.values - green_sum(y, A_QUAD, q, fd.nodes)))
     assert errors[201] / errors[401] >= 2.0**1.9
     assert errors[401] / errors[801] >= 2.0**1.9
 
@@ -204,8 +167,7 @@ def test_path_equivalence_random_polynomials():
             y = lambda s: c[0] + c[1]*s + c[2]*s**2 + c[3]*s**3 + c[4]*s**4 + c[5]*s**5
             n = 201
             fd = fd_solve_linear(y, a, n)
-            formula = formula_solve_linear(y, a, q, fd.nodes)
-            err = np.max(np.abs(fd.values - formula.values))
+            err = np.max(np.abs(fd.values - green_sum(y, a, q, fd.nodes)))
             assert err <= PATH_EQUIVALENCE_C / (n - 1) ** 2
 
 
@@ -233,7 +195,7 @@ def test_clamped_slope_constants_vanish():
         assert abs(d2) <= 5e-4
 
 
-def test_cone_floor_on_formula_solutions():
+def test_cone_floor_on_green_sum_solutions():
     # solutions of nonnegative forcings dominate the cone floor
     # theta^3 (1 - alpha + beta) * sup norm on the inner strip
     from beambvp.quadrature import integrate, integrate_on
@@ -249,8 +211,8 @@ def test_cone_floor_on_formula_solutions():
         for _ in range(25):
             c = rng.uniform(0.0, 2.0, 4)
             y = lambda s: c[0] + c[1]*s + c[2]*s**2 + c[3]*s**3
-            u = formula_solve_linear(y, a, q, eval_nodes)
-            assert np.min(u.values[strip]) >= floor * np.max(np.abs(u.values)) - 1e-10
+            u = green_sum(y, a, q, eval_nodes)
+            assert np.min(u[strip]) >= floor * np.max(np.abs(u)) - 1e-10
 
 
 def test_fd_nonlinear_zero():

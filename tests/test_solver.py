@@ -4,8 +4,8 @@ import pytest
 from beambvp import solver
 from beambvp.analysis import log_grid, make_problem
 from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, OutOfDomain
-from beambvp.expressions import Expression
-from beambvp.kernel import green
+from beambvp.expressions import Expression, parse
+from beambvp.kernel import green, kernel_weight
 from beambvp.oracle import fd_solve_nonlinear
 from beambvp.quadrature import ADMISSIBLE_POINTS, Quadrature, _composite_gauss, make_quadrature
 from beambvp.solver import (
@@ -295,7 +295,7 @@ def test_operator_rows_match_green_sum(super_problem, panels, points):
     q = make_quadrature(panels, points)
     g = np.random.default_rng(5).uniform(0.0, 100.0, q.npoints)
     dense = build_operator(make_problem(F_SUPER, "t^2", 0.25, q)).kmatrix @ g
-    fast = _green_sum(super_problem, q, g, q.nodes)
+    fast = _green_sum(super_problem.a, q, g, q.nodes)
     assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
@@ -336,6 +336,32 @@ def test_operator_matches_subrule_reference(a, panels, points):
     expected = _subrule_kernel(p, p.quad.nodes)
     kmat = build_operator(p).kmatrix
     assert np.max(np.abs(kmat - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("a", ["t", "t^2", "0.5", "1.2*t^2"])
+@pytest.mark.parametrize("panels, points", [(8, 4), (3, 6), (5, 2), (16, 4)])
+def test_operator_weight_column_integrates_kernel_weight(a, panels, points):
+    # the operator's weight column is integral W(s) l_j(s) ds, W the
+    # kernel_weight that green.csv shows: W sums G(s_i, s) over the rule's
+    # nodes, so it is a cubic between consecutive nodes, and an 8-point Gauss
+    # rule on each such piece integrates W l_j exactly. Measured: 3.9e-15;
+    # the plain weights W(s_j) w_j miss by 2.7e-8 or more
+    q = make_quadrature(panels, points)
+    column = (build_operator(make_problem("u", a, 0.25, q)).kmatrix
+              - build_operator(make_problem("u", "0*t", 0.25, q)).kmatrix)
+    x, w = np.polynomial.legendre.leggauss(8)
+    expected = np.zeros(q.npoints)
+    for k in range(panels):
+        nodes = q.nodes[k * points:(k + 1) * points]
+        cuts = np.concatenate([[k / panels], nodes, [(k + 1) / panels]])
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            s = lo + (hi - lo) * (x + 1.0) / 2.0
+            weighted = kernel_weight(s, parse(a, "t"), q) * (hi - lo) * w / 2.0
+            for j in range(points):
+                basis = np.prod([(s - nodes[r]) / (nodes[j] - nodes[r])
+                                 for r in range(points) if r != j], axis=0)
+                expected[k * points + j] += weighted @ basis
+    assert np.max(np.abs(column - expected[None, :])) <= 1e-13 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("panels, points", RULES)
