@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state between calls, so every main call parses with the same tree."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="read settings from an INI file")
     common.add_argument("--f", metavar="EXPR", help="nonlinearity f(u)")
@@ -239,4 +243,9 @@ def _write_csv(path, header, blocks) -> None:
     with open(path, "w") as handle:
         handle.write(header + "\n")
         for block in blocks:
-            np.savetxt(handle, block, fmt="%.17g", delimiter=",")
+            row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            # 1024 rows per write: a green.csv block at --grid-m 1001 has
+            # 64064 rows, and its Python floats at once would take ~27 MiB
+            for start in range(0, len(block), 1024):
+                rows = block[start:start + 1024].tolist()
+                handle.write("".join([row % tuple(r) for r in rows]))

@@ -9,9 +9,14 @@ the finite-difference oracle solves the same problems without the
 kernel. The kernel checks call this module's `green` (all but the
 nonlocal weight W, which comes from `kernel_weight`), so a test that
 replaces it with a corrupted kernel confirms that the corruption is
-caught. They sweep the GRID_M x GRID_M grid ROW_BLOCK rows at a time
-and keep running extremes, so the sweep's memory is set by the block,
-not by the grid.
+caught. They sweep the GRID_M x GRID_M grid ROW_BLOCK rows at a time,
+so the sweep's memory is set by the block, not by the grid. Bounds that
+depend on s alone (G >= 0, the upper envelope, the strip floors) are
+checked on per-column minima and maxima of G over the rows, and each
+bound is subtracted once per column after the sweep: fl(x - c) is
+monotone in x, so every margin is the one the whole grid would give. The
+lower-envelope and triangle margins depend on t too and are taken block
+by block, the triangle's in one reused block buffer.
 """
 
 from __future__ import annotations
@@ -60,42 +65,48 @@ def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
 def _kernel_checks(thetas, rng, q):
     grid = np.linspace(0.0, 1.0, GRID_M)
     ss = grid[None, :]
-    upper = upper_envelope(ss)
-    # G's floor on the strip [theta, 1 - theta] is the lower envelope at theta
-    strip_bounds = {theta: lower_envelope(theta, ss) for theta in thetas}
-    # running extremes over blocks of ROW_BLOCK t-rows; np.minimum and
-    # np.maximum keep a nan, as np.min over the whole grid would
-    g_min = lower_min = triangle_min = np.inf
-    upper_max = -np.inf
-    strip_min = dict.fromkeys(thetas, np.inf)
+    # per-column extremes of G over the t-rows swept so far, the strips' over
+    # their rows theta <= t <= 1 - theta; np.minimum and np.maximum keep a nan
+    col_min = np.full(GRID_M, np.inf)
+    col_max = np.full(GRID_M, -np.inf)
+    strip_min = {theta: np.full(GRID_M, np.inf) for theta in thetas}
+    lower_min = triangle_min = np.inf
+    triangle = np.empty((ROW_BLOCK, GRID_M))
     for start in range(0, GRID_M, ROW_BLOCK):
         ts = grid[start:start + ROW_BLOCK, None]
         g = green(ts, ss)
-        g_min = np.minimum(g_min, np.min(g))
-        # the lower and triangle margins reuse their fresh bound's buffer; a
-        # second block-sized temporary for each cost ~5% of verify in page faults
-        lower = lower_envelope(ts, ss)
-        lower_min = np.minimum(lower_min, np.min(np.subtract(g, lower, out=lower)))
-        upper_max = np.maximum(upper_max, np.max(g - upper))
-        for theta, bound in strip_bounds.items():
-            # the block's rows with theta <= t <= 1 - theta
+        np.minimum(col_min, g.min(axis=0), out=col_min)
+        np.maximum(col_max, g.max(axis=0), out=col_max)
+        for theta, col in strip_min.items():
             rows = slice(np.searchsorted(ts[:, 0], theta),
                          np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
             if rows.start < rows.stop:
-                strip_min[theta] = np.minimum(strip_min[theta], np.min(g[rows] - bound))
-        # G - s (t - s)^2 / 6 on the triangle s <= t; s = 0 <= t, so every
-        # row has a point in it
-        triangle = (ts - ss) ** 2 * ss / 6.0
-        np.subtract(g, triangle, out=triangle)
-        triangle_min = np.minimum(triangle_min, np.min(triangle, where=ss <= ts, initial=np.inf))
+                np.minimum(col, g[rows].min(axis=0), out=col)
+        # the lower margin reuses its fresh bound's buffer; a second
+        # block-sized temporary cost ~5% of verify in page faults
+        lower = lower_envelope(ts, ss)
+        lower_min = np.minimum(lower_min, np.min(np.subtract(g, lower, out=lower)))
+        # G - s (t - s)^2 / 6 on the triangle s <= t, in one reused buffer;
+        # s = 0 <= t, so every row has a point in it
+        tri = triangle[:len(ts)]
+        np.subtract(ts, ss, out=tri)
+        np.square(tri, out=tri)
+        np.multiply(tri, ss, out=tri)
+        np.divide(tri, 6.0, out=tri)
+        np.subtract(g, tri, out=tri)
+        triangle_min = np.minimum(triangle_min, np.min(tri, where=ss <= ts, initial=np.inf))
 
+    # a bound that depends on s alone comes off each column's extreme once:
+    # fl(x - c) is monotone in x, so the margins equal the per-point ones
     results = [
-        _floor("green_nonnegative", float(g_min), -1e-15),
+        _floor("green_nonnegative", float(np.min(col_min)), -1e-15),
         _floor("green_lower_envelope", float(lower_min), -1e-14),
-        _ceiling("green_upper_envelope", float(upper_max), 1e-14),
+        _ceiling("green_upper_envelope", float(np.max(col_max - upper_envelope(grid))), 1e-14),
     ]
-    for theta in thetas:
-        results.append(_floor(f"green_strip_floor_theta_{theta}", float(strip_min[theta]), -1e-14))
+    # G's floor on the strip [theta, 1 - theta] is the lower envelope at theta
+    for theta, col in strip_min.items():
+        margin = float(np.min(col - lower_envelope(theta, grid)))
+        results.append(_floor(f"green_strip_floor_theta_{theta}", margin, -1e-14))
     results.append(_floor("green_triangle_floor", float(triangle_min), -1e-14))
 
     # s = t takes the s <= t branch; the next double above t takes the other

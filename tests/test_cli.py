@@ -560,6 +560,26 @@ def test_csv_only_and_json_only_artifacts_match_a_full_solve(tmp_path):
             (tmp_path / "full" / artifact).read_bytes()
 
 
+def test_main_calls_share_one_parser_and_stay_independent(tmp_path):
+    # one process, many main calls (as a long-lived caller makes them): the
+    # parser is built once, and no flag of one call reaches the next
+    assert cli.build_parser() is cli.build_parser()
+    args = ["solve", "--f", F_SUB, "--a", "t"]
+    assert main([*args, "--out", str(tmp_path / "json"), "--json"]) == EXIT_OK
+    assert main([*args, "--out", str(tmp_path / "plain")]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == \
+        ["report.json", "solution.csv"]
+    assert main(["solve", "--a", "t", "--out", str(tmp_path / "no-f")]) == EXIT_USAGE
+    assert main(["green", "--grid-m", "3", "--out", str(tmp_path / "small")]) == EXIT_OK
+    assert main(["green", "--out", str(tmp_path / "default")]) == EXIT_OK
+    lines = (tmp_path / "default" / "green.csv").read_text().splitlines()
+    assert len(lines) == 1 + 101 * 101
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--bogus"])
+    assert exc.value.code == EXIT_USAGE
+    assert main([*args, "--out", str(tmp_path / "after")]) == EXIT_OK
+
+
 def test_missing_config_file():
     assert main(["solve", "--config", "/nonexistent/run.ini"]) == EXIT_USAGE
 

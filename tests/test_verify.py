@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from beambvp import solver, verify
-from beambvp.kernel import green, product_weights
+from beambvp.kernel import ROW_BLOCK, green, lower_envelope, product_weights, upper_envelope
+from beambvp.quadrature import default_quadrature
 
 
 def _check(scorecard, name):
@@ -36,6 +37,95 @@ def test_kernel_sweep_runs_in_bounded_memory(traced_peak):
     verify.run_checks(5)  # the first call's one-time allocations are not the sweep's
     # the whole 1001 x 1001 grid at once peaked at 31.6 MiB
     assert traced_peak(lambda: verify.run_checks(5)) <= 8.0
+
+
+def _full_block_margins(kernel, thetas):
+    """The sweep's margins as the whole-block loop took them: every bound
+    subtracted from every point of each ROW_BLOCK x GRID_M block."""
+    grid = np.linspace(0.0, 1.0, verify.GRID_M)
+    ss = grid[None, :]
+    upper = upper_envelope(ss)
+    strip_bounds = {theta: lower_envelope(theta, ss) for theta in thetas}
+    g_min = lower_min = triangle_min = np.inf
+    upper_max = -np.inf
+    strip_min = dict.fromkeys(thetas, np.inf)
+    for start in range(0, verify.GRID_M, ROW_BLOCK):
+        ts = grid[start:start + ROW_BLOCK, None]
+        g = kernel(ts, ss)
+        g_min = np.minimum(g_min, np.min(g))
+        lower_min = np.minimum(lower_min, np.min(g - lower_envelope(ts, ss)))
+        upper_max = np.maximum(upper_max, np.max(g - upper))
+        for theta, bound in strip_bounds.items():
+            rows = slice(np.searchsorted(ts[:, 0], theta),
+                         np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
+            if rows.start < rows.stop:
+                strip_min[theta] = np.minimum(strip_min[theta], np.min(g[rows] - bound))
+        triangle = g - (ts - ss) ** 2 * ss / 6.0
+        triangle_min = np.minimum(triangle_min, np.min(triangle, where=ss <= ts, initial=np.inf))
+    return {
+        "green_nonnegative": g_min, "green_lower_envelope": lower_min,
+        "green_upper_envelope": upper_max, "green_triangle_floor": triangle_min,
+        **{f"green_strip_floor_theta_{theta}": strip_min[theta] for theta in thetas},
+    }
+
+
+def _fault_at(i, j, fault=np.nan):
+    """G plus fault at the sweep's grid point t = grid[i], s = grid[j]."""
+    grid = np.linspace(0.0, 1.0, verify.GRID_M)
+
+    def kernel(t, s):
+        t, s = np.asarray(t), np.asarray(s)
+        return green(t, s) + np.where((t == grid[i]) & (s == grid[j]), fault, 0.0)
+    return kernel
+
+
+@pytest.mark.parametrize("kernel", [
+    green,
+    lambda t, s: green(t, s) - 0.01,
+    # rounding-sized noise, so that the per-point differences round unevenly
+    lambda t, s: green(t, s) * (1.0 + 3e-16 * np.sin(1e3 * np.asarray(t) + 7e2 * np.asarray(s))),
+    _fault_at(500, 300),
+    # the first row of the block t >= 0.448
+    _fault_at(7 * ROW_BLOCK, 300, -0.01),
+], ids=["exact", "shifted", "noisy", "nan", "dip"])
+def test_column_reductions_match_the_full_block_margins(monkeypatch, kernel):
+    # s-only bounds come off per-column extremes once, after the sweep;
+    # fl(x - c) is monotone in x, so every margin is bit-identical
+    thetas = [0.1, 0.25, 0.4, 0.49]
+    monkeypatch.setattr(verify, "green", kernel)
+    checks = verify._kernel_checks(thetas, np.random.default_rng(1), default_quadrature())
+    reference = _full_block_margins(kernel, thetas)
+    margins = {c["name"]: c["margin"] for c in checks if c["name"] in reference}
+    assert margins.keys() == reference.keys()
+    np.testing.assert_array_equal([margins[name] for name in reference],
+                                  [float(v) for v in reference.values()])
+
+
+@pytest.mark.parametrize("point, failed", [
+    # t = 0.5, s = 0.3: below the diagonal and inside every strip
+    ((500, 300), {"green_nonnegative", "green_lower_envelope", "green_upper_envelope",
+                  "green_strip_floor_theta_0.1", "green_strip_floor_theta_0.25",
+                  "green_strip_floor_theta_0.4", "green_triangle_floor",
+                  "kernel_upper_bound"}),
+    # t = 0.3, s = 0.7: above the diagonal and outside the 0.4 strip
+    ((300, 700), {"green_nonnegative", "green_lower_envelope", "green_upper_envelope",
+                  "green_strip_floor_theta_0.1", "green_strip_floor_theta_0.25",
+                  "kernel_upper_bound"}),
+], ids=["triangle", "above-diagonal"])
+def test_a_nan_at_one_interior_point_is_caught(monkeypatch, point, failed):
+    monkeypatch.setattr(verify, "green", _fault_at(*point))
+    scorecard = verify.run_checks()
+    assert {c["name"] for c in scorecard["checks"] if not c["passed"]} == failed
+
+
+def test_kernel_sweep_peak_is_a_few_blocks(traced_peak):
+    thetas = [0.1, 0.25, 0.4]
+    q = default_quadrature()
+    verify._kernel_checks(thetas, np.random.default_rng(1), q)
+    # measured 3.04 MiB: green's temporaries for one 64 x 1001 block
+    # (0.5 MiB each) and the reused triangle buffer
+    peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
+    assert peak <= 3.5
 
 
 @pytest.mark.parametrize("fault, failed", [
