@@ -62,13 +62,21 @@ def green(t, s):
 
     Accepts scalars or broadcastable arrays; on the diagonal both branch
     formulas agree. Raises OutOfDomain off the unit square.
+
+    [t^3 (1-s)^2 - (t-s)^3] / 6 on s <= t and t^3 (1-s)^2 / 6 above it,
+    built in place in two arrays: the result and the cube (t-s)^3, which
+    goes through pow at every point.
     """
     t = np.asarray(t)
     s = np.asarray(s)
     if np.any(t < 0) or np.any(t > 1) or np.any(s < 0) or np.any(s > 1):
         raise OutOfDomain("green(t, s) requires 0 <= t, s <= 1")
-    g = t**3 * (1.0 - s) ** 2
-    g -= np.where(s <= t, (t - s) ** 3, 0.0)
+    shape = np.broadcast_shapes(t.shape, s.shape)
+    g = np.multiply(t**3, (1.0 - s) ** 2, out=np.empty(shape))
+    cube = np.subtract(t, s, out=np.empty(shape))
+    np.power(cube, 3, out=cube)
+    # g - 0 is g, so above the diagonal (and at a nan) g is left as it is
+    np.subtract(g, cube, out=g, where=s <= t)
     g /= 6.0
     return g if g.ndim else float(g)
 
@@ -93,7 +101,9 @@ def lower_envelope(t, s):
     s = np.asarray(s)
     if np.any(t < 0) or np.any(t > 1):
         raise OutOfDomain("lower_envelope(t, s) requires 0 <= t <= 1")
-    v = np.minimum(t**3, t**2 * (1.0 - t)) / 6.0 * s * (1.0 - s) ** 2
+    shape = np.broadcast_shapes(t.shape, s.shape)
+    v = np.multiply(np.minimum(t**3, t**2 * (1.0 - t)) / 6.0, s, out=np.empty(shape))
+    v *= (1.0 - s) ** 2
     return v if v.ndim else float(v)
 
 

@@ -69,11 +69,26 @@ def default_quadrature() -> Quadrature:
     return make_quadrature(8, 4)
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] at each admissible point count:
+# the doubles that numpy.polynomial.legendre.leggauss returns, kept as a table
+# because importing numpy.polynomial for them costs about 1 MiB of RSS
+_GAUSS_LEGENDRE = {
+    2: ((-0.5773502691896257, 0.5773502691896257),
+        (1.0, 1.0)),
+    4: ((-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357)),
+    6: ((-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+         0.2386191860831969, 0.6612093864662645, 0.9324695142031519),
+        (0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+         0.46791393457269104, 0.3607615730481387, 0.17132449237917027)),
+}
+
+
 @lru_cache(maxsize=None)
 def _reference_rule(points_per_panel: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only: computed once
-    per point count (the eigenvalue solve behind them costs about 0.1 ms)."""
-    x, w = np.polynomial.legendre.leggauss(points_per_panel)
+    """Gauss-Legendre nodes and weights on [-1, 1] for an admissible point
+    count, as read-only arrays."""
+    x, w = (np.array(v) for v in _GAUSS_LEGENDRE[points_per_panel])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

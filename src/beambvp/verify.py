@@ -9,14 +9,15 @@ the finite-difference oracle solves the same problems without the
 kernel. The kernel checks call this module's `green` (all but the
 nonlocal weight W, which comes from `kernel_weight`), so a test that
 replaces it with a corrupted kernel confirms that the corruption is
-caught. They sweep the GRID_M x GRID_M grid ROW_BLOCK rows at a time,
-so the sweep's memory is set by the block, not by the grid. Bounds that
-depend on s alone (G >= 0, the upper envelope, the strip floors) are
+caught. They sweep one grid, GRID_M x GRID_M, ROW_BLOCK rows at a time,
+with at most two block arrays in flight, so the sweep's memory is set by
+the block, not by the grid. Bounds that depend on s alone (G >= 0, the
+upper envelope, the strip floors and the kernel bound on G + W) are
 checked on per-column minima and maxima of G over the rows, and each
-bound is subtracted once per column after the sweep: fl(x - c) is
-monotone in x, so every margin is the one the whole grid would give. The
-lower-envelope and triangle margins depend on t too and are taken block
-by block, the triangle's in one reused block buffer.
+bound is subtracted once per column after the sweep: fl(x - c) and
+fl(x + c) are monotone in x, so every margin is the one the whole grid
+would give. The lower-envelope and triangle margins depend on t too and
+are taken block by block, both in the lower bound's buffer.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ def _kernel_checks(thetas, rng, q):
     col_max = np.full(GRID_M, -np.inf)
     strip_min = {theta: np.full(GRID_M, np.inf) for theta in thetas}
     lower_min = triangle_min = np.inf
-    triangle = np.empty((ROW_BLOCK, GRID_M))
     for start in range(0, GRID_M, ROW_BLOCK):
         ts = grid[start:start + ROW_BLOCK, None]
         g = green(ts, ss)
@@ -82,22 +82,23 @@ def _kernel_checks(thetas, rng, q):
                          np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
             if rows.start < rows.stop:
                 np.minimum(col, g[rows].min(axis=0), out=col)
-        # the lower margin reuses its fresh bound's buffer; a second
-        # block-sized temporary cost ~5% of verify in page faults
-        lower = lower_envelope(ts, ss)
-        lower_min = np.minimum(lower_min, np.min(np.subtract(g, lower, out=lower)))
-        # G - s (t - s)^2 / 6 on the triangle s <= t, in one reused buffer;
-        # s = 0 <= t, so every row has a point in it
-        tri = triangle[:len(ts)]
-        np.subtract(ts, ss, out=tri)
-        np.square(tri, out=tri)
-        np.multiply(tri, ss, out=tri)
-        np.divide(tri, 6.0, out=tri)
-        np.subtract(g, tri, out=tri)
-        triangle_min = np.minimum(triangle_min, np.min(tri, where=ss <= ts, initial=np.inf))
+        # both t-dependent margins are taken in the lower bound's buffer: first
+        # G minus the bound, then G - s (t - s)^2 / 6 on the triangle s <= t
+        # (s = 0 <= t, so every row has a point in it)
+        margin = lower_envelope(ts, ss)
+        lower_min = np.minimum(lower_min, np.min(np.subtract(g, margin, out=margin)))
+        np.subtract(ts, ss, out=margin)
+        np.square(margin, out=margin)
+        np.multiply(margin, ss, out=margin)
+        np.divide(margin, 6.0, out=margin)
+        np.subtract(g, margin, out=margin)
+        triangle_min = np.minimum(triangle_min, np.min(margin, where=ss <= ts, initial=np.inf))
+        # freed before green builds the next block, so at most two are live
+        del g, margin
 
     # a bound that depends on s alone comes off each column's extreme once:
-    # fl(x - c) is monotone in x, so the margins equal the per-point ones
+    # fl(x - c) and fl(x + c) are monotone in x, so the margins equal the
+    # per-point ones
     results = [
         _floor("green_nonnegative", float(np.min(col_min)), -1e-15),
         _floor("green_lower_envelope", float(lower_min), -1e-14),
@@ -114,11 +115,11 @@ def _kernel_checks(thetas, rng, q):
     jump = green(t_rand, t_rand) - green(t_rand, np.nextafter(t_rand, 1.0))
     results.append(_ceiling("green_branch_match", float(np.max(np.abs(jump))), 1e-15))
 
+    # G + W <= s (1 - s)^2 / (6 (1 - alpha)), with W(s) from kernel_weight
     a = parse("t^2", "t")
-    sgrid = np.linspace(0.0, 1.0, 201)
-    kern = green(sgrid[:, None], sgrid[None, :]) + kernel_weight(sgrid, a, q)[None, :]
-    bound = upper_envelope(sgrid) / (1.0 - integrate(a, q))
-    results.append(_ceiling("kernel_upper_bound", float(np.max(kern - bound[None, :])), 1e-12))
+    kern_max = col_max + kernel_weight(grid, a, q)
+    bound = upper_envelope(grid) / (1.0 - integrate(a, q))
+    results.append(_ceiling("kernel_upper_bound", float(np.max(kern_max - bound)), 1e-12))
     return results
 
 

@@ -12,7 +12,8 @@ from beambvp.kernel import (
     lower_envelope,
     upper_envelope,
 )
-from beambvp.quadrature import default_quadrature
+from beambvp.quadrature import default_quadrature, make_quadrature
+from beambvp.verify import GRID_M
 
 A_ZERO = parse("0*t", "t")
 A_HALF = parse("0.5", "t")
@@ -31,6 +32,51 @@ def test_green_vanishes_on_boundary_lines():
     assert np.all(green(t, 0.0) == 0.0)
     for a in (A_HALF, A_LIN, A_QUAD):
         assert kernel_weight(0.0, a, default_quadrature()) >= 0.0
+
+
+def _green_as_written(t, s):
+    """G as the plain formula: a fresh array for every operation."""
+    t, s = np.asarray(t), np.asarray(s)
+    g = t**3 * (1.0 - s) ** 2
+    g -= np.where(s <= t, (t - s) ** 3, 0.0)
+    g /= 6.0
+    return g if g.ndim else float(g)
+
+
+def _lower_envelope_as_written(t, s):
+    t, s = np.asarray(t), np.asarray(s)
+    v = np.minimum(t**3, t**2 * (1.0 - t)) / 6.0 * s * (1.0 - s) ** 2
+    return v if v.ndim else float(v)
+
+
+def _kernel_inputs():
+    grid = np.linspace(0.0, 1.0, GRID_M)
+    nodes = make_quadrature(128, 4).nodes
+    rng = np.random.default_rng(3)
+    t_rand, s_rand = rng.uniform(0.0, 1.0, (2, 5000))
+    edges = np.array([0.0, 1.0])
+    return [
+        # verify's first, a middle and its last, partial row block
+        (grid[:64, None], grid[None, :]), (grid[448:512, None], grid[None, :]),
+        (grid[960:, None], grid[None, :]),
+        (nodes[:, None], nodes[None, :]),  # the 512-node operator's matrix
+        (t_rand, s_rand), (t_rand, t_rand), (t_rand, np.nextafter(t_rand, 1.0)),
+        (0.5, 0.3), (0.3, 0.5), (0.5, 0.5), (1, 0), (0.25, grid), (grid[:, None], 0.75),
+        (edges[:, None], grid[None, :]), (grid[:, None], edges[None, :]),
+        (np.nan, 0.5), (0.5, np.nan), (np.array([0.2, np.nan, 0.7]), 0.4),
+    ]
+
+
+@pytest.mark.parametrize("fn, as_written", [(green, _green_as_written),
+                                            (lower_envelope, _lower_envelope_as_written)],
+                         ids=["green", "lower_envelope"])
+def test_in_place_evaluation_matches_the_formula_bit_for_bit(fn, as_written):
+    # both build their result in place, with the formula's operations in its order
+    for t, s in _kernel_inputs():
+        got, expected = fn(t, s), as_written(t, s)
+        assert type(got) is type(expected)
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                      np.asarray(expected).view(np.int64))
 
 
 def test_green_point_values():

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import beambvp
 from beambvp.errors import DomainError, InvalidConfig, InvalidRange
 from beambvp.expressions import parse
 from beambvp.quadrature import (
     ADMISSIBLE_POINTS,
+    _reference_rule,
     default_quadrature,
     integrate,
     integrate_on,
@@ -102,3 +109,31 @@ def test_domain_error_propagates():
     with pytest.raises(DomainError):
         integrate(parse("log(-1+t*0)", "t"), q)
 
+
+
+@pytest.mark.parametrize("points", ADMISSIBLE_POINTS)
+def test_tabulated_rule_is_numpys_bit_for_bit(points):
+    x, w = _reference_rule(points)
+    expected_x, expected_w = np.polynomial.legendre.leggauss(points)
+    for got, expected in ((x, expected_x), (w, expected_w)):
+        assert got.dtype == np.float64 and not got.flags.writeable
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_readme_examples_do_not_import_numpy_polynomial(tmp_path):
+    # the rules are tabulated, so no command pays for importing numpy.polynomial
+    script = (
+        "import sys\n"
+        "from beambvp.cli import main\n"
+        "out = sys.argv[1]\n"
+        "codes = [main(['solve', '--f', 'u^2*(exp(-u)+1)', '--a', 't^2', '--out', out]),\n"
+        "         main(['classify', '--f', 'sqrt(1+u)+sin(u)', '--a', 't', '--out', out]),\n"
+        "         main(['verify', '--out', out])]\n"
+        "print(codes, 'numpy.polynomial' in sys.modules)\n"
+    )
+    src = str(Path(beambvp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[0, 0, 0] False"

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from beambvp import solver, verify
-from beambvp.kernel import ROW_BLOCK, green, lower_envelope, product_weights, upper_envelope
-from beambvp.quadrature import default_quadrature
+from beambvp.expressions import parse
+from beambvp.kernel import (
+    ROW_BLOCK,
+    green,
+    kernel_weight,
+    lower_envelope,
+    product_weights,
+    upper_envelope,
+)
+from beambvp.quadrature import default_quadrature, integrate
 
 
 def _check(scorecard, name):
@@ -39,15 +47,19 @@ def test_kernel_sweep_runs_in_bounded_memory(traced_peak):
     assert traced_peak(lambda: verify.run_checks(5)) <= 8.0
 
 
-def _full_block_margins(kernel, thetas):
+def _full_block_margins(kernel, thetas, q):
     """The sweep's margins as the whole-block loop took them: every bound
-    subtracted from every point of each ROW_BLOCK x GRID_M block."""
+    subtracted from every point of each ROW_BLOCK x GRID_M block, and the
+    kernel G + W as well as G."""
     grid = np.linspace(0.0, 1.0, verify.GRID_M)
     ss = grid[None, :]
     upper = upper_envelope(ss)
     strip_bounds = {theta: lower_envelope(theta, ss) for theta in thetas}
+    a = parse("t^2", "t")
+    weight = kernel_weight(grid, a, q)[None, :]
+    kernel_bound = upper_envelope(ss) / (1.0 - integrate(a, q))
     g_min = lower_min = triangle_min = np.inf
-    upper_max = -np.inf
+    upper_max = kernel_max = -np.inf
     strip_min = dict.fromkeys(thetas, np.inf)
     for start in range(0, verify.GRID_M, ROW_BLOCK):
         ts = grid[start:start + ROW_BLOCK, None]
@@ -55,6 +67,7 @@ def _full_block_margins(kernel, thetas):
         g_min = np.minimum(g_min, np.min(g))
         lower_min = np.minimum(lower_min, np.min(g - lower_envelope(ts, ss)))
         upper_max = np.maximum(upper_max, np.max(g - upper))
+        kernel_max = np.maximum(kernel_max, np.max(g + weight - kernel_bound))
         for theta, bound in strip_bounds.items():
             rows = slice(np.searchsorted(ts[:, 0], theta),
                          np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
@@ -65,6 +78,7 @@ def _full_block_margins(kernel, thetas):
     return {
         "green_nonnegative": g_min, "green_lower_envelope": lower_min,
         "green_upper_envelope": upper_max, "green_triangle_floor": triangle_min,
+        "kernel_upper_bound": kernel_max,
         **{f"green_strip_floor_theta_{theta}": strip_min[theta] for theta in thetas},
     }
 
@@ -87,14 +101,19 @@ def _fault_at(i, j, fault=np.nan):
     _fault_at(500, 300),
     # the first row of the block t >= 0.448
     _fault_at(7 * ROW_BLOCK, 300, -0.01),
-], ids=["exact", "shifted", "noisy", "nan", "dip"])
+    # a raised point: kernel_upper_bound reads 0.0 (at s = 0) on every other
+    # kernel here, so only this one tells a column's maximum from its minimum
+    _fault_at(500, 300, 0.1),
+], ids=["exact", "shifted", "noisy", "nan", "dip", "bump"])
 def test_column_reductions_match_the_full_block_margins(monkeypatch, kernel):
     # s-only bounds come off per-column extremes once, after the sweep;
-    # fl(x - c) is monotone in x, so every margin is bit-identical
+    # fl(x - c) and fl(x + c) are monotone in x, so every margin is
+    # bit-identical, kernel_upper_bound's on the whole GRID_M grid too
     thetas = [0.1, 0.25, 0.4, 0.49]
+    q = default_quadrature()
     monkeypatch.setattr(verify, "green", kernel)
-    checks = verify._kernel_checks(thetas, np.random.default_rng(1), default_quadrature())
-    reference = _full_block_margins(kernel, thetas)
+    checks = verify._kernel_checks(thetas, np.random.default_rng(1), q)
+    reference = _full_block_margins(kernel, thetas, q)
     margins = {c["name"]: c["margin"] for c in checks if c["name"] in reference}
     assert margins.keys() == reference.keys()
     np.testing.assert_array_equal([margins[name] for name in reference],
@@ -122,10 +141,11 @@ def test_kernel_sweep_peak_is_a_few_blocks(traced_peak):
     thetas = [0.1, 0.25, 0.4]
     q = default_quadrature()
     verify._kernel_checks(thetas, np.random.default_rng(1), q)
-    # measured 3.04 MiB: green's temporaries for one 64 x 1001 block
-    # (0.5 MiB each) and the reused triangle buffer
+    # measured 1.21 MiB: at most two 64 x 1001 blocks (0.49 MiB each) are
+    # live, green's result and its cube, or G and the margin buffer; a
+    # third block would read about 1.7
     peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
-    assert peak <= 3.5
+    assert peak <= 1.5
 
 
 @pytest.mark.parametrize("fault, failed", [
