@@ -2,8 +2,9 @@
 
 Subcommands: solve, verify, classify, green.
 Exit codes: 0 success, 1 usage or parse error (argparse's own usage errors
-included), 2 no positive solution was found, 3 hypothesis violation, 4 a
-verification check failed.
+included) or an output directory or artifact that cannot be written, 2 no
+positive solution was found, 3 hypothesis violation, 4 a verification check
+failed.
 """
 
 from __future__ import annotations
@@ -83,6 +84,11 @@ def main(argv=None) -> int:
     except BeamBVPError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS if isinstance(exc, HypothesisViolation) else EXIT_USAGE
+    except OSError as exc:
+        # from the output directory or an artifact: --out naming a file or a
+        # path under one, or an artifact's name taken by a directory
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:
@@ -163,6 +169,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_classify(cfg: RunConfig) -> int:
     problem = _problem(cfg, "classify.json")
+    out = _outdir(cfg) if cfg.write_json else None
     cert = certificate(problem)
     payload = _base_payload(cfg, problem)
     payload.update({
@@ -173,16 +180,18 @@ def cmd_classify(cfg: RunConfig) -> int:
         "delta_min": cert.delta_min,
     })
     if cfg.write_json:
-        _write_json(_outdir(cfg) / "classify.json", payload)
+        _write_json(out / "classify.json", payload)
     print(f"classification: {cert.classification} "
           f"(epsilon_max = {cert.epsilon_max:.6g}, delta_min = {cert.delta_min:.6g})")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    # the directory first, so that a bad --out fails before the checks run
+    out = _outdir(cfg) if cfg.write_json else None
     scorecard = run_checks(seed=cfg.seed, theta=cfg.theta)
     if cfg.write_json:
-        _write_json(_outdir(cfg) / "verify.json", scorecard)
+        _write_json(out / "verify.json", scorecard)
     print(f"seed {cfg.seed}, grid {GRID_M}x{GRID_M}")
     for check in scorecard["checks"]:
         flag = "pass" if check["passed"] else "FAIL"

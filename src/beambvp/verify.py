@@ -9,18 +9,28 @@ the finite-difference oracle solves the same problems without the
 kernel. The kernel checks call this module's `green` (all but the
 nonlocal weight W, which comes from `kernel_weight`), so a test that
 replaces it with a corrupted kernel confirms that the corruption is
-caught. They sweep one grid, GRID_M x GRID_M, ROW_BLOCK rows at a time,
-with at most two block arrays in flight, so the sweep's memory is set by
-the block, not by the grid. Bounds that depend on s alone (G >= 0, the
+caught. They sweep one grid, GRID_M x GRID_M, on W worker threads, one
+per CPU the process may use and at most MAX_SWEEP_WORKERS; with one CPU
+the sweep is one loop on the calling thread. Worker k takes every W-th
+block of ROW_BLOCK // W rows, starting with the k-th, and holds at most
+two block arrays at a time, so the W workers hold two blocks of
+ROW_BLOCK // W rows each and the sweep's memory is set by the block, not
+by the grid. What the sweep keeps is per-column minima and maxima, which
+are merged across workers with np.minimum and np.maximum; both are exact,
+so no margin depends on W. Bounds that depend on s alone (G >= 0, the
 upper envelope, the strip floors and the kernel bound on G + W) are
-checked on per-column minima and maxima of G over the rows, and each
+checked on the per-column minima and maxima of G over the rows, and each
 bound is subtracted once per column after the sweep: fl(x - c) and
 fl(x + c) are monotone in x, so every margin is the one the whole grid
 would give. The lower-envelope and triangle margins depend on t too and
-are taken block by block, both in the lower bound's buffer.
+are taken per point, in the lower bound's buffer, before their columns'
+minima.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -41,6 +51,13 @@ PATH_EQUIVALENCE_C = 2.0
 # points per side of the kernel sweep; the grid contains t = 1/2, so every
 # strip [theta, 1 - theta] holds a grid point
 GRID_M = 1001
+
+# the kernel sweep runs on one thread per CPU the process may use, at most
+# this many, each over blocks of ROW_BLOCK // workers rows. Every worker
+# adds about 0.17 MiB besides its blocks (its column extremes and numpy's
+# iterator buffers for green's and the triangle's masked operations), so a
+# third would lift the sweep's traced peak from 1.38 to 1.55 MiB
+MAX_SWEEP_WORKERS = 2
 
 
 def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
@@ -65,50 +82,31 @@ def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
 
 def _kernel_checks(thetas, rng, q):
     grid = np.linspace(0.0, 1.0, GRID_M)
-    ss = grid[None, :]
-    # per-column extremes of G over the t-rows swept so far, the strips' over
-    # their rows theta <= t <= 1 - theta; np.minimum and np.maximum keep a nan
-    col_min = np.full(GRID_M, np.inf)
-    col_max = np.full(GRID_M, -np.inf)
-    strip_min = {theta: np.full(GRID_M, np.inf) for theta in thetas}
-    lower_min = triangle_min = np.inf
-    for start in range(0, GRID_M, ROW_BLOCK):
-        ts = grid[start:start + ROW_BLOCK, None]
-        g = green(ts, ss)
-        np.minimum(col_min, g.min(axis=0), out=col_min)
-        np.maximum(col_max, g.max(axis=0), out=col_max)
-        for theta, col in strip_min.items():
-            rows = slice(np.searchsorted(ts[:, 0], theta),
-                         np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
-            if rows.start < rows.stop:
-                np.minimum(col, g[rows].min(axis=0), out=col)
-        # both t-dependent margins are taken in the lower bound's buffer: first
-        # G minus the bound, then G - s (t - s)^2 / 6 on the triangle s <= t
-        # (s = 0 <= t, so every row has a point in it)
-        margin = lower_envelope(ts, ss)
-        lower_min = np.minimum(lower_min, np.min(np.subtract(g, margin, out=margin)))
-        np.subtract(ts, ss, out=margin)
-        np.square(margin, out=margin)
-        np.multiply(margin, ss, out=margin)
-        np.divide(margin, 6.0, out=margin)
-        np.subtract(g, margin, out=margin)
-        triangle_min = np.minimum(triangle_min, np.min(margin, where=ss <= ts, initial=np.inf))
-        # freed before green builds the next block, so at most two are live
-        del g, margin
+    workers = min(_cpu_count(), MAX_SWEEP_WORKERS)
+    height = ROW_BLOCK // workers
+    starts = range(0, GRID_M, height)
+    # worker k sweeps blocks k, k + workers, ...; min and max are exact, so
+    # merging the workers' extremes gives what one sweep would
+    (lo, hi), *rest = _in_threads(
+        lambda k: _sweep(grid, thetas, starts[k::workers], height), workers)
+    for part_lo, part_hi in rest:
+        np.minimum(lo, part_lo, out=lo)
+        np.maximum(hi, part_hi, out=hi)
+    col_min, *strip_cols, lower_col, triangle_col = lo
 
     # a bound that depends on s alone comes off each column's extreme once:
     # fl(x - c) and fl(x + c) are monotone in x, so the margins equal the
     # per-point ones
     results = [
         _floor("green_nonnegative", float(np.min(col_min)), -1e-15),
-        _floor("green_lower_envelope", float(lower_min), -1e-14),
-        _ceiling("green_upper_envelope", float(np.max(col_max - upper_envelope(grid))), 1e-14),
+        _floor("green_lower_envelope", float(np.min(lower_col)), -1e-14),
+        _ceiling("green_upper_envelope", float(np.max(hi - upper_envelope(grid))), 1e-14),
     ]
     # G's floor on the strip [theta, 1 - theta] is the lower envelope at theta
-    for theta, col in strip_min.items():
+    for theta, col in zip(thetas, strip_cols):
         margin = float(np.min(col - lower_envelope(theta, grid)))
         results.append(_floor(f"green_strip_floor_theta_{theta}", margin, -1e-14))
-    results.append(_floor("green_triangle_floor", float(triangle_min), -1e-14))
+    results.append(_floor("green_triangle_floor", float(np.min(triangle_col)), -1e-14))
 
     # s = t takes the s <= t branch; the next double above t takes the other
     t_rand = rng.uniform(0.0, 1.0, 100)
@@ -117,9 +115,84 @@ def _kernel_checks(thetas, rng, q):
 
     # G + W <= s (1 - s)^2 / (6 (1 - alpha)), with W(s) from kernel_weight
     a = parse("t^2", "t")
-    kern_max = col_max + kernel_weight(grid, a, q)
+    kern_max = hi + kernel_weight(grid, a, q)
     bound = upper_envelope(grid) / (1.0 - integrate(a, q))
     results.append(_ceiling("kernel_upper_bound", float(np.max(kern_max - bound)), 1e-12))
+    return results
+
+
+def _sweep(grid, thetas, starts, height):
+    """Per-column extremes of G over the row blocks grid[start:start + height],
+    start in starts, as (lo, hi).
+
+    hi is each column's maximum of G. lo's rows are each column's minimum of
+    G, of G on each theta's strip rows theta <= t <= 1 - theta, of G minus
+    the lower envelope and of G - s (t - s)^2 / 6 on the triangle s <= t;
+    inf where a column has no such row. np.minimum and np.maximum keep a nan.
+    """
+    ss = grid[None, :]
+    lo = np.full((3 + len(thetas), GRID_M), np.inf)
+    hi = np.full(GRID_M, -np.inf)
+    for start in starts:
+        ts = grid[start:start + height, None]
+        g = green(ts, ss)
+        np.minimum(lo[0], g.min(axis=0), out=lo[0])
+        np.maximum(hi, g.max(axis=0), out=hi)
+        for col, theta in zip(lo[1:], thetas):
+            rows = slice(np.searchsorted(ts[:, 0], theta),
+                         np.searchsorted(ts[:, 0], 1.0 - theta, "right"))
+            if rows.start < rows.stop:
+                np.minimum(col, g[rows].min(axis=0), out=col)
+        # both t-dependent margins are taken in the lower bound's buffer: first
+        # G minus the bound, then the triangle's
+        margin = lower_envelope(ts, ss)
+        np.minimum(lo[-2], np.subtract(g, margin, out=margin).min(axis=0), out=lo[-2])
+        np.subtract(ts, ss, out=margin)
+        np.square(margin, out=margin)
+        np.multiply(margin, ss, out=margin)
+        np.divide(margin, 6.0, out=margin)
+        np.subtract(g, margin, out=margin)
+        np.minimum(lo[-1], np.min(margin, axis=0, where=ss <= ts, initial=np.inf), out=lo[-1])
+        # freed before green builds the next block, so at most two are live
+        del g, margin
+    return lo, hi
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_threads(fn, n):
+    """[fn(0), ..., fn(n - 1)]: fn(0) runs on this thread, the others on
+    threads of their own. Every thread has ended when this returns or
+    raises. If calls raise, the exception of the lowest such k is raised
+    again here."""
+    results = [None] * n
+    errors = [None] * n
+
+    def run(k):
+        try:
+            results[k] = fn(k)
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return results
 
 

@@ -601,3 +601,57 @@ def test_cold_solve_emits_no_runtime_warning(tmp_path, f, code):
                      "--f", f, "--a", "t", "--out", str(tmp_path))
     assert proc.returncode == code, proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command, compute", [
+    (["solve", "--f", F_SUB, "--a", "t"], "solve_auto"),
+    (["verify"], "run_checks"),
+    (["classify", "--f", F_SUPER, "--a", "t"], "certificate"),
+], ids=["solve", "verify", "classify"])
+def test_out_that_cannot_be_a_directory_exits_usage(tmp_path, capsys, monkeypatch,
+                                                     command, compute, under):
+    # the directory is made before the command computes anything, and the
+    # OSError becomes one error line, not a traceback
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before --out was checked")
+
+    monkeypatch.setattr(cli, compute, unreachable)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    assert main([*command, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(out) in err
+
+
+@pytest.mark.parametrize("command, artifact", [
+    (["solve", "--f", F_SUB, "--a", "t"], "solution.csv"),
+    (["verify"], "verify.json"),
+    (["green", "--grid-m", "3"], "green.csv"),
+], ids=["solve", "verify", "green"])
+def test_artifact_that_cannot_be_written_exits_usage(tmp_path, capsys, command, artifact):
+    (tmp_path / artifact).mkdir()
+    assert main([*command, "--out", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(tmp_path / artifact) in err
+
+
+def test_importing_the_cli_loads_no_other_module():
+    # after numpy and the standard modules the package imports itself, the
+    # CLI adds only beambvp's own: no import on the cold path (a thread pool
+    # from concurrent.futures, say) pays for modules that nothing else loads
+    script = (
+        "import sys\n"
+        "import __future__, argparse, configparser, dataclasses, functools, json, math, os\n"
+        "import pathlib, re, threading, typing\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import beambvp.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'beambvp'))\n"
+    )
+    proc = _run_cold("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

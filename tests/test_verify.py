@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -180,3 +183,78 @@ def test_a_wrong_product_weight_fails_path_agreement(monkeypatch):
     monkeypatch.setattr(solver, "product_weights", skewed)
     scorecard = verify.run_checks()
     assert not _check(scorecard, "linear_path_agreement")["passed"]
+
+
+def _bits(scorecard):
+    return np.array([c["margin"] for c in scorecard["checks"]]).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def serial_scorecards():
+    """run_checks on one thread at two seeds and thetas, the sweep as one loop."""
+    cases = [(1, 0.25), (73, 0.495)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_cpu_count", lambda: 1)
+        return {case: verify.run_checks(*case) for case in cases}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_scorecards_do_not_depend_on_the_worker_count(monkeypatch, serial_scorecards, workers):
+    # min and max are exact, so every split of the rows over the workers
+    # merges to the same margins, bit for bit; 3 workers sweep blocks of 21
+    # rows, so the strips' edges fall inside other blocks than at 64. A short
+    # switch interval interleaves the workers' Python steps finely
+    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(verify, "MAX_SWEEP_WORKERS", 4)
+    counts = []
+    in_threads = verify._in_threads
+    monkeypatch.setattr(verify, "_in_threads", lambda fn, n: counts.append(n) or in_threads(fn, n))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        scorecards = {case: verify.run_checks(*case) for case in serial_scorecards}
+    finally:
+        sys.setswitchinterval(interval)
+    for case, serial in serial_scorecards.items():
+        assert scorecards[case] == serial
+        np.testing.assert_array_equal(_bits(scorecards[case]), _bits(serial))
+    assert counts == [workers] * len(serial_scorecards)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_kernel_sweep_peak_is_a_few_blocks_at_every_cpu_count(monkeypatch, traced_peak, cpus):
+    # W workers each hold two blocks of ROW_BLOCK // W rows and about
+    # 0.17 MiB more; MAX_SWEEP_WORKERS = 2 keeps the sweep at 1.38-1.41 MiB
+    monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+    thetas = [0.1, 0.25, 0.4]
+    q = default_quadrature()
+    verify._kernel_checks(thetas, np.random.default_rng(1), q)
+    peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
+    assert peak <= 1.5
+
+
+class _LateBlockError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("start, on_main", [(960, True), (992, False)])
+def test_a_worker_exception_reaches_the_caller(monkeypatch, start, on_main):
+    # two workers of 32 rows: the block at row 960 is the calling thread's,
+    # the last one, at 992, the other worker's; either raises its own type,
+    # and no thread outlives the call
+    grid = np.linspace(0.0, 1.0, verify.GRID_M)
+    raised_on_main = []
+
+    def failing(t, s):
+        if np.ndim(t) == 2 and t[0, 0] == grid[start]:
+            raised_on_main.append(threading.current_thread() is threading.main_thread())
+            raise _LateBlockError(start)
+        return green(t, s)
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "green", failing)
+    before = threading.enumerate()
+    with pytest.raises(_LateBlockError):
+        verify.run_checks()
+    assert threading.enumerate() == before
+    assert raised_on_main == [on_main]
