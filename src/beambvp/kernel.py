@@ -27,8 +27,9 @@ from .expressions import Expression
 from .quadrature import Quadrature, _sample, _reference_rule
 
 # rows that a dense evaluation computes at once (verify's kernel sweep,
-# green.csv, the Nystrom matrix, the Newton-start scan's radii), so that its
-# temporaries are a few ROW_BLOCK x M arrays, not M x M ones
+# green.csv, the Newton-start scan's radii), so that its temporaries are a
+# few ROW_BLOCK x M arrays, not M x M ones; the Nystrom matrix is built by
+# columns, ROW_BLOCK // 4 unit loads at a time (solver.build_operator)
 ROW_BLOCK = 64
 
 # 1 - alpha divides the nonlocal sum, and quadrature rounding can land an
@@ -155,10 +156,6 @@ def product_weights(q: Quadrature, ts):
     * panel[i], the panel that holds ts[i], and kink[i, r] = integral of
       (t_i - s)^3 l_r(s) over [lo, t_i] on that panel, its r-th node:
       partial moments, which are polynomials in t_i.
-
-    The p-point Gauss weights give the moments of degree <= p, so at p >= 3
-    the whole-panel moments equal w_j s_j^m up to rounding; at p = 2 the
-    cubic one does not. They are computed here either way.
     """
     ts = np.asarray(ts, dtype=float).ravel()
     p, panels = q.points_per_panel, q.panels

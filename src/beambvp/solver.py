@@ -15,8 +15,9 @@ solution. The natural interpolant
 u_I(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j) is fed to the
 operator discretized by the same rule with twice the panels, A'; the
 defect max |A'[u_I] - u_I| at the refined nodes estimates the distance
-to the true solution in solution units. The interpolant and the refined
-sum are one routine, _green_sum, on two rules.
+to the true solution in solution units. The operator, the interpolant and
+the refined sum are one routine, _green_part: the operator's columns are
+its sums for unit loads.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .analysis import Certificate, Problem, certificate, log_grid
 from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
 from .expressions import Expression
-from .kernel import ROW_BLOCK, _nonlocal_sum, green, product_weights
+from .kernel import ROW_BLOCK, _nonlocal_sum, product_weights
 from .quadrature import Quadrature, make_quadrature
 
 # an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
@@ -99,36 +100,21 @@ class SolveReport:
 def build_operator(problem: Problem) -> NystromOperator:
     """Assemble K[i, j] = integral G(t_i, s) l_j(s) ds + W_j on the problem's rule.
 
-    l_j is the Lagrange basis of node j's panel, and the weights are those
-    of product_weights. The plain matrix G(t_i, s_j) w_j is filled first. It
-    is exact on the panels above t_i, and on those wholly below it up to the
-    cubic moment, so the panel that holds t_i gets its exact weights and the
-    panels below it the cubic moment's difference from the plain weight
-    (which is rounding except at 2 points per panel). The weight column
-    W_j = sum_i a(s_i) w_i K_G[i, j] / (1 - alpha) comes from the same
-    Green's rows and the same rule as alpha. At 2, 4 and 6 points per panel
-    every entry is nonnegative, as the continuous kernel is.
+    l_j is the Lagrange basis of node j's panel. Column j of the Green's
+    part is _green_part's sum for the unit load on node j, taken
+    ROW_BLOCK // 4 columns at a time so that its four moment arrays are
+    ROW_BLOCK x N. The weight column W_j = sum_i a(s_i) w_i K_G[i, j] /
+    (1 - alpha) comes from the same Green's rows and the same rule as
+    alpha. At 2, 4 and 6 points per panel every entry is nonnegative, as
+    the continuous kernel is.
     """
     q, n = problem.quad, problem.quad.npoints
-    s, w, p = q.nodes, q.weights, q.points_per_panel
-    moments, panel, kink = product_weights(q, s)
-    # whole panels below t_i: the plain weights give every moment up to s^2
-    # exactly, and the cube's up to rounding at p >= 3 but not at p = 2
-    cubic = (moments[3] - w * s**3) / 6.0
-    # G w is filled ROW_BLOCK rows at a time and corrected into K in place, so
-    # assembly holds one N x N array
+    weights = product_weights(q, q.nodes)
+    width = ROW_BLOCK // 4
     kmat = np.empty((n, n))
-    for start in range(0, n, ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        block = kmat[rows]
-        block[:] = green(s[rows, None], s[None, :]) * w
-        np.add(block, cubic, out=block, where=panel[None, :] < panel[rows, None])
-    # the panel that holds t_i: its plain hump w_j (t_i - s_j)_+^3 becomes the
-    # exact one; t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate
-    own = np.arange(n).reshape(q.panels, p)
-    t, sj = s[own][:, :, None], s[own][:, None, :]
-    plain = w[own][:, None, :] * np.maximum(t - sj, 0.0) ** 3
-    kmat[own[:, :, None], own[:, None, :]] += (plain - kink.reshape(q.panels, p, p)) / 6.0
+    for start in range(0, n, width):
+        units = np.eye(n, min(width, n - start), -start)
+        kmat[:, start:start + width] = _green_part(q, q.nodes, weights, units)
     kmat += _nonlocal_sum(problem.a, q, kmat)[None, :]
     return NystromOperator(q, kmat, problem, certificate(problem))
 
@@ -380,26 +366,39 @@ def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
 def _green_sum(a: Expression, q: Quadrature, g, ts) -> np.ndarray:
     """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, W
     that of the weight a: the weights of build_operator, in O((N + T) p).
-
-    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6, the hump (t-s)_+^3 over
-    the panels wholly below t expands into prefix sums, over panels, of the
-    whole-panel moments of g, and the panel that holds t adds its partial
-    moments (product_weights). Since G(0, s) = 0 the nonlocal part is one
-    constant, the nonlocal sum of the Green's part at the rule's own nodes.
+    The Green's part is _green_part's; since G(0, s) = 0 the nonlocal part is
+    one constant, the nonlocal sum of the Green's part at the rule's nodes.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0) or np.any(ts > 1):
         raise OutOfDomain("interpolation points must lie in [0, 1]")
-    s, p = q.nodes, q.points_per_panel
     # the Green's part at the evaluation points, then at the nodes
-    t = np.concatenate([ts.ravel(), s])
-    moments, panel, kink = product_weights(q, t)
-    per_panel = np.cumsum((moments * g).reshape(4, q.panels, p).sum(axis=2), axis=1)
-    m0, m1, m2, m3 = np.concatenate([np.zeros((4, 1)), per_panel], axis=1)[:, panel]
-    t2 = t * t
-    hump = (t2 * t * m0 - 3.0 * t2 * m1 + 3.0 * t * m2 - m3
-            + np.sum(kink * np.reshape(g, (q.panels, p))[panel], axis=1))
-    # t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate exactly
-    green_part = (t2 * t * np.dot(q.weights * g, (1.0 - s) ** 2) - hump) / 6.0
+    t = np.concatenate([ts.ravel(), q.nodes])
+    green_part = _green_part(q, t, product_weights(q, t), g)
     const = _nonlocal_sum(a, q, green_part[ts.size:])
     return np.reshape(green_part[:ts.size] + const, ts.shape)
+
+
+def _green_part(q: Quadrature, t: np.ndarray, weights, g) -> np.ndarray:
+    """sum_j integral G(t, s) l_j(s) ds g_j at the points t, for one load g on
+    the rule q's nodes or an N x C block of loads, one per column; weights
+    is product_weights(q, t). O((N + T) p) per load.
+
+    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6, the hump (t-s)_+^3 over
+    the panels wholly below t expands into prefix sums, over panels, of the
+    whole-panel moments of g, and the panel that holds t adds its partial
+    moments (product_weights).
+    """
+    moments, panel, kink = weights
+    # loads along the last axis: a block's rows are summed as one load is
+    g = np.asarray(g, dtype=float).T
+    lead = g.shape[:-1]
+    per_panel = np.cumsum((moments * g[..., None, :]).reshape(*lead, 4, q.panels, -1).sum(axis=-1),
+                          axis=-1)
+    below = np.concatenate([np.zeros((*lead, 4, 1)), per_panel], axis=-1)[..., panel]
+    m0, m1, m2, m3 = np.moveaxis(below, -2, 0)
+    t2 = t * t
+    hump = (t2 * t * m0 - 3.0 * t2 * m1 + 3.0 * t * m2 - m3
+            + np.sum(kink * g.reshape(*lead, q.panels, -1)[..., panel, :], axis=-1))
+    # t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate exactly
+    return ((t2 * t * np.dot(q.weights * g, (1.0 - q.nodes) ** 2)[..., None] - hump) / 6.0).T

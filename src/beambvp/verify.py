@@ -4,9 +4,10 @@ Each check recomputes one of the quantitative facts the solver relies
 on (kernel sign and envelopes, representation-vs-finite-difference
 agreement, cone inequalities) and reports its worst margin. The
 representation u = integral [G + W] y is the solver's own Green's sum,
-the one behind interpolate and residuals, taken on random cubic loads;
-the finite-difference oracle solves the same problems without the
-kernel. The kernel checks call this module's `green` (all but the
+the one behind its operator, interpolate and residuals, taken on random
+cubic loads. The finite-difference oracle solves the same problems without
+the kernel, and each cubic load's closed-form solution checks the sum to
+rounding. The kernel checks call this module's `green` (all but the
 nonlocal weight W, which comes from `kernel_weight`), so a test that
 replaces it with a corrupted kernel confirms that the corruption is
 caught. They sweep one grid, GRID_M x GRID_M, on W worker threads, one
@@ -51,6 +52,13 @@ PATH_EQUIVALENCE_C = 2.0
 # points per side of the kernel sweep; the grid contains t = 1/2, so every
 # strip [theta, 1 - theta] holds a grid point
 GRID_M = 1001
+
+# the product weights integrate G times a cubic load exactly, so the Green's
+# sum misses the closed-form solution only by the rule's nonlocal sum of a u,
+# of degree up to 9: for nonnegative coefficients at most 5.2e-12 of sup u
+# (the load s^3 at a = t^2), while a whole-panel moment 1e-7 off misses by
+# 4.5e-8
+CUBIC_EXACT_TOL = 1e-11
 
 # the kernel sweep runs on one thread per CPU the process may use, at most
 # this many, each over blocks of ROW_BLOCK // workers rows. Every worker
@@ -197,17 +205,21 @@ def _in_threads(fn, n):
 
 
 def _path_checks(rng, q):
-    worst = -np.inf
+    worst = worst_exact = -np.inf
     n = 201
     h = 1.0 / (n - 1)
-    for a_text in ("t", "t^2"):
+    for power, a_text in ((1, "t"), (2, "t^2")):
         a = parse(a_text, "t")
         for c in rng.uniform(0.0, 2.0, (5, 4)):
             y = _cubic(c)
             fd = fd_solve_linear(y, a, n)
-            err = float(np.max(np.abs(fd.values - _green_sum(a, q, y(q.nodes), fd.nodes))))
+            u = _green_sum(a, q, y(q.nodes), fd.nodes)
+            err = float(np.max(np.abs(fd.values - u)))
             worst = max(worst, err / h**2)
-    return [_ceiling("linear_path_agreement", worst, PATH_EQUIVALENCE_C)]
+            exact = _cubic_solution(c, power, fd.nodes)
+            worst_exact = max(worst_exact, float(np.max(np.abs(u - exact)) / np.max(np.abs(exact))))
+    return [_ceiling("linear_path_agreement", worst, PATH_EQUIVALENCE_C),
+            _ceiling("green_sum_exact_on_cubics", worst_exact, CUBIC_EXACT_TOL)]
 
 
 def _cone_checks(theta, rng, q):
@@ -235,6 +247,23 @@ def _cone_checks(theta, rng, q):
 def _cubic(c):
     """The load c0 + c1 s + c2 s^2 + c3 s^3."""
     return lambda s: c[0] + c[1] * s + c[2] * s**2 + c[3] * s**3
+
+
+def _cubic_solution(c, power, t):
+    """The exact solution of u'''' + y = 0 with the problem's boundary
+    conditions, for the load y = _cubic(c) and the weight a = t^power, at t.
+
+    u = P + c3 t^3 + c0, with P = -y integrated four times from 0,
+    c3 = -P'(1) / 3 and c0 = integral a (P + c3 t^3) / (1 - alpha), all in
+    coefficients: P = sum_k p_k t^(k+4) with p_k = -c_k k! / (k+4)!, and
+    integral t^power t^m = 1 / (power + m + 1).
+    """
+    k = np.arange(4)
+    p = -np.asarray(c) / ((k + 1) * (k + 2) * (k + 3) * (k + 4))
+    c3 = -np.dot(p, k + 4) / 3.0
+    # 1 / (1 - alpha) = (power + 1) / power
+    c0 = (np.dot(p, 1.0 / (power + k + 5)) + c3 / (power + 4)) * (power + 1) / power
+    return t**4 * (p[0] + t * (p[1] + t * (p[2] + t * p[3]))) + c3 * t**3 + c0
 
 
 def _floor(name, margin, tolerance):

@@ -390,7 +390,8 @@ def test_verify_json_shape(tmp_path, theta, strips):
         "green_nonnegative", "green_lower_envelope", "green_upper_envelope",
         *(f"green_strip_floor_theta_{th}" for th in strips),
         "green_triangle_floor", "green_branch_match", "kernel_upper_bound",
-        "linear_path_agreement", "solution_cone_floor", "operator_cone_floor",
+        "linear_path_agreement", "green_sum_exact_on_cubics", "solution_cone_floor",
+        "operator_cone_floor",
     ]
     for check in scorecard["checks"]:
         assert list(check) == ["name", "margin", "tolerance", "passed"]

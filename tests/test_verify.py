@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from beambvp import solver, verify
+from beambvp.analysis import make_problem
 from beambvp.expressions import parse
 from beambvp.kernel import (
     ROW_BLOCK,
@@ -14,6 +15,7 @@ from beambvp.kernel import (
     product_weights,
     upper_envelope,
 )
+from beambvp.oracle import fd_solve_linear
 from beambvp.quadrature import default_quadrature, integrate
 
 
@@ -172,8 +174,8 @@ def test_a_wrong_product_weight_fails_path_agreement(monkeypatch):
     # finite-difference oracle. One whole-panel moment 1% off moves its
     # margin from 0.14 to 8.9, past the tolerance of 2. The tolerance hides
     # smaller faults: a 0.1% moment error reads 0.88, and zeroing one column
-    # of the kink-panel weights at most 1.16. The sub-rule references in
-    # test_solver.py and acceptance criterion 2's closed form (1e-10) catch those.
+    # of the kink-panel weights at most 1.16. green_sum_exact_on_cubics
+    # catches those (below).
     def skewed(q, ts):
         moments, panel, kink = product_weights(q, ts)
         moments = moments.copy()
@@ -183,6 +185,56 @@ def test_a_wrong_product_weight_fails_path_agreement(monkeypatch):
     monkeypatch.setattr(solver, "product_weights", skewed)
     scorecard = verify.run_checks()
     assert not _check(scorecard, "linear_path_agreement")["passed"]
+
+
+@pytest.mark.parametrize("seed, margin", [
+    (1, 8.0e-13), (5, 5.4e-13), (73, 9.4e-13), (20240901, 1.9e-12)])
+def test_green_sum_is_exact_on_cubic_loads(seed, margin):
+    # the miss is the rule's nonlocal sum of a u, a polynomial of degree up
+    # to 9. It is largest for the load s^3 at a = t^2, 5.2e-12 of sup u, and
+    # a cubic with nonnegative coefficients misses by at most its worst
+    # monomial's share; 3.2e-12 was the worst over seeds 0-999
+    check = _check(verify.run_checks(seed), "green_sum_exact_on_cubics")
+    assert check["passed"] and check["tolerance"] == 1e-11
+    assert check["margin"] == pytest.approx(margin, rel=0.05)
+
+
+def _moment_fault(q, ts):
+    moments, panel, kink = product_weights(q, ts)
+    moments = moments.copy()
+    moments[0, 13] *= 1.0 + 1e-7
+    return moments, panel, kink
+
+
+def _kink_column_fault(q, ts):
+    moments, panel, kink = product_weights(q, ts)
+    kink = kink.copy()
+    kink[:, 0] = 0.0
+    return moments, panel, kink
+
+
+@pytest.mark.parametrize("fault", [_moment_fault, _kink_column_fault], ids=["moment", "kink"])
+def test_exact_cubics_catch_weight_faults_that_path_agreement_misses(monkeypatch, fault):
+    # margins 4.5e-8 and 1.2e-3 against 1e-11, while the finite-difference
+    # check reads 0.14 and 1.16 against 2. The operator is built from the
+    # same weights, so the fault reaches solve as well
+    problem = make_problem("u", "t^2")
+    clean = solver.build_operator(problem).kmatrix
+    monkeypatch.setattr(solver, "product_weights", fault)
+    scorecard = verify.run_checks()
+    assert _check(scorecard, "linear_path_agreement")["passed"]
+    assert not _check(scorecard, "green_sum_exact_on_cubics")["passed"]
+    assert not np.array_equal(solver.build_operator(problem).kmatrix, clean)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_cubic_closed_form_meets_the_finite_difference_path(power):
+    # the closed form against the kernel-free oracle, at its O(h^2) accuracy
+    a = parse(f"t^{power}", "t")
+    for c in np.random.default_rng(2).uniform(0.0, 2.0, (3, 4)):
+        fd = fd_solve_linear(verify._cubic(c), a, 401)
+        exact = verify._cubic_solution(c, power, fd.nodes)
+        assert np.max(np.abs(fd.values - exact)) <= verify.PATH_EQUIVALENCE_C / 400**2
 
 
 def _bits(scorecard):
