@@ -62,9 +62,9 @@ CUBIC_EXACT_TOL = 1e-11
 
 # the kernel sweep runs on one thread per CPU the process may use, at most
 # this many, each over blocks of ROW_BLOCK // workers rows. Every worker
-# adds about 0.17 MiB besides its blocks (its column extremes and numpy's
+# adds about 0.18 MiB besides its blocks (its column extremes and numpy's
 # iterator buffers for green's and the triangle's masked operations), so a
-# third would lift the sweep's traced peak from 1.38 to 1.55 MiB
+# third would lift the sweep's traced peak from 1.41 to 1.53-1.57 MiB
 MAX_SWEEP_WORKERS = 2
 
 

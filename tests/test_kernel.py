@@ -64,6 +64,11 @@ def _kernel_inputs():
         (0.5, 0.3), (0.3, 0.5), (0.5, 0.5), (1, 0), (0.25, grid), (grid[:, None], 0.75),
         (edges[:, None], grid[None, :]), (grid[:, None], edges[None, :]),
         (np.nan, 0.5), (0.5, np.nan), (np.array([0.2, np.nan, 0.7]), 0.4),
+        # the s <= t mask's edges: signed zeros, tiny positive bases, blocks
+        # wholly above and wholly below the diagonal, and the far corner
+        (0.0, -0.0), (-0.0, 0.0), (t_rand, np.nextafter(t_rand, 0.0)),
+        (grid[:64, None], grid[None, 500:]), (grid[960:, None], grid[None, :960]),
+        (1.0, 1.0),
     ]
 
 
@@ -77,6 +82,23 @@ def test_in_place_evaluation_matches_the_formula_bit_for_bit(fn, as_written):
         assert type(got) is type(expected)
         np.testing.assert_array_equal(np.asarray(got).view(np.int64),
                                       np.asarray(expected).view(np.int64))
+
+
+def test_green_cubes_no_negative_base(monkeypatch):
+    # every base np.power cubes on a lane it writes is nonnegative: above the
+    # diagonal t - s < 0, which pow is slow on and the branch drops anyway
+    power, cubed = np.power, []
+
+    def checked(base, exponent, *args, where=True, **kwargs):
+        lanes, written = np.broadcast_arrays(np.asarray(base), where)
+        assert np.all(lanes[written] >= 0.0), "a negative base reached np.power"
+        cubed.append(np.count_nonzero(written))
+        return power(base, exponent, *args, where=where, **kwargs)
+
+    monkeypatch.setattr(np, "power", checked)
+    for t, s in _kernel_inputs():
+        green(t, s)
+    assert sum(cubed) > 0
 
 
 def test_green_point_values():

@@ -146,9 +146,9 @@ def test_kernel_sweep_peak_is_a_few_blocks(traced_peak):
     thetas = [0.1, 0.25, 0.4]
     q = default_quadrature()
     verify._kernel_checks(thetas, np.random.default_rng(1), q)
-    # measured 1.21 MiB: at most two 64 x 1001 blocks (0.49 MiB each) are
-    # live, green's result and its cube, or G and the margin buffer; a
-    # third block would read about 1.7
+    # measured 1.23 MiB on one worker and 1.41 on two: at most two 64 x 1001
+    # blocks (0.49 MiB each) are live, green's result and its cube, or G and
+    # the margin buffer; a third block would read about 1.7
     peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
     assert peak <= 1.5
 
@@ -276,7 +276,7 @@ def test_scorecards_do_not_depend_on_the_worker_count(monkeypatch, serial_scorec
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_kernel_sweep_peak_is_a_few_blocks_at_every_cpu_count(monkeypatch, traced_peak, cpus):
     # W workers each hold two blocks of ROW_BLOCK // W rows and about
-    # 0.17 MiB more; MAX_SWEEP_WORKERS = 2 keeps the sweep at 1.38-1.41 MiB
+    # 0.18 MiB more; MAX_SWEEP_WORKERS = 2 keeps the sweep at 1.41 MiB
     monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
     thetas = [0.1, 0.25, 0.4]
     q = default_quadrature()
