@@ -58,7 +58,7 @@ def _nonlocal_sum(a, q: Quadrature, g):
     return (avals * q.weights) @ g / (1.0 - alpha)
 
 
-def green(t, s):
+def green(t, s, out=None, work=None):
     """G(t, s), piecewise cubic with the kink on the diagonal s = t.
 
     Accepts scalars or broadcastable arrays; on the diagonal both branch
@@ -69,14 +69,19 @@ def green(t, s):
     goes through pow only where s <= t: above the diagonal its base is
     negative, which costs pow some 40 times as much per point, and the
     branch drops it anyway.
+
+    out, a float array of the broadcast shape, receives G and is returned;
+    work, another, holds the cube and is overwritten. Either may be a view,
+    such as a row slice of a larger buffer, and without them both arrays
+    are fresh. G is the same bit for bit either way.
     """
     t = np.asarray(t)
     s = np.asarray(s)
     if np.any(t < 0) or np.any(t > 1) or np.any(s < 0) or np.any(s > 1):
         raise OutOfDomain("green(t, s) requires 0 <= t, s <= 1")
     shape = np.broadcast_shapes(t.shape, s.shape)
-    g = np.multiply(t**3, (1.0 - s) ** 2, out=np.empty(shape))
-    cube = np.subtract(t, s, out=np.empty(shape))
+    g = np.multiply(t**3, (1.0 - s) ** 2, out=np.empty(shape) if out is None else out)
+    cube = np.subtract(t, s, out=np.empty(shape) if work is None else work)
     below = s <= t
     np.power(cube, 3, out=cube, where=below)
     # g - 0 is g, so above the diagonal (and at a nan) g is left as it is
@@ -92,21 +97,24 @@ def upper_envelope(s):
     return v if v.ndim else float(v)
 
 
-def lower_envelope(t, s):
+def lower_envelope(t, s, out=None):
     """rho(t) s(1-s)^2 with rho(t) = min(t^3, t^2(1-t))/6, the uniform lower
     bound on G.
 
     rho rises on [0, 2/3] and rho(1 - theta) >= rho(theta) for theta < 1/2,
     so on a strip theta <= t <= 1 - theta rho is least at t = theta, where
     it is theta^3/6: lower_envelope(theta, s) is G's floor on the strip.
-    Raises OutOfDomain unless 0 <= t <= 1.
+    Raises OutOfDomain unless 0 <= t <= 1. out, a float array of the
+    broadcast shape (a view is fine), receives the result and is returned;
+    without it the result is a fresh array, the same bit for bit.
     """
     t = np.asarray(t)
     s = np.asarray(s)
     if np.any(t < 0) or np.any(t > 1):
         raise OutOfDomain("lower_envelope(t, s) requires 0 <= t <= 1")
     shape = np.broadcast_shapes(t.shape, s.shape)
-    v = np.multiply(np.minimum(t**3, t**2 * (1.0 - t)) / 6.0, s, out=np.empty(shape))
+    v = np.multiply(np.minimum(t**3, t**2 * (1.0 - t)) / 6.0, s,
+                    out=np.empty(shape) if out is None else out)
     v *= (1.0 - s) ** 2
     return v if v.ndim else float(v)
 

@@ -13,19 +13,21 @@ replaces it with a corrupted kernel confirms that the corruption is
 caught. They sweep one grid, GRID_M x GRID_M, on W worker threads, one
 per CPU the process may use and at most MAX_SWEEP_WORKERS; with one CPU
 the sweep is one loop on the calling thread. Worker k takes every W-th
-block of ROW_BLOCK // W rows, starting with the k-th, and holds at most
-two block arrays at a time, so the W workers hold two blocks of
-ROW_BLOCK // W rows each and the sweep's memory is set by the block, not
-by the grid. What the sweep keeps is per-column minima and maxima, which
-are merged across workers with np.minimum and np.maximum; both are exact,
-so no margin depends on W. Bounds that depend on s alone (G >= 0, the
-upper envelope, the strip floors and the kernel bound on G + W) are
-checked on the per-column minima and maxima of G over the rows, and each
-bound is subtracted once per column after the sweep: fl(x - c) and
-fl(x + c) are monotone in x, so every margin is the one the whole grid
-would give. The lower-envelope and triangle margins depend on t too and
-are taken per point, in the lower bound's buffer, before their columns'
-minima.
+block of ROW_BLOCK // W rows, starting with the k-th, and allocates two
+block arrays once per sweep. Every block is evaluated into them (green's
+out and work, then the margins), so no block faults fresh pages in, and
+the sweep reads G from what green returns, which a replaced kernel need
+not put in out. The W workers hold two blocks of ROW_BLOCK // W rows
+each, and the sweep's memory is set by the block, not by the grid. What
+the sweep keeps is per-column minima and maxima, which are merged across
+workers with np.minimum and np.maximum; both are exact, so no margin
+depends on W. Bounds that depend on s alone (G >= 0, the upper envelope,
+the strip floors and the kernel bound on G + W) are checked on the
+per-column minima and maxima of G over the rows, and each bound is
+subtracted once per column after the sweep: fl(x - c) and fl(x + c) are
+monotone in x, so every margin is the one the whole grid would give.
+The lower-envelope and triangle margins depend on t too and are taken
+per point, in the lower bound's buffer, before their columns' minima.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ CUBIC_EXACT_TOL = 1e-11
 
 # the kernel sweep runs on one thread per CPU the process may use, at most
 # this many, each over blocks of ROW_BLOCK // workers rows. Every worker
-# adds about 0.18 MiB besides its blocks (its column extremes and numpy's
-# iterator buffers for green's and the triangle's masked operations), so a
-# third would lift the sweep's traced peak from 1.41 to 1.53-1.57 MiB
+# adds about 0.18 MiB besides its two block buffers (its column extremes and
+# numpy's iterator buffers for green's and the triangle's masked
+# operations), so a third would lift the sweep's traced peak from 1.41 to
+# 1.54-1.57 MiB
 MAX_SWEEP_WORKERS = 2
 
 
@@ -141,9 +144,15 @@ def _sweep(grid, thetas, starts, height):
     ss = grid[None, :]
     lo = np.full((3 + len(thetas), GRID_M), np.inf)
     hi = np.full(GRID_M, -np.inf)
+    # every block is evaluated into these two: G's, and the cube's and then
+    # the margins'. Fresh block arrays would go back to the OS when freed
+    # and fault their pages in again in the next block
+    g_buf, m_buf = np.empty((2, height, GRID_M))
     for start in starts:
         ts = grid[start:start + height, None]
-        g = green(ts, ss)
+        g_block, m_block = g_buf[:len(ts)], m_buf[:len(ts)]
+        # green may return another array than g_block (a test's kernel does)
+        g = green(ts, ss, out=g_block, work=m_block)
         np.minimum(lo[0], g.min(axis=0), out=lo[0])
         np.maximum(hi, g.max(axis=0), out=hi)
         for col, theta in zip(lo[1:], thetas):
@@ -153,7 +162,7 @@ def _sweep(grid, thetas, starts, height):
                 np.minimum(col, g[rows].min(axis=0), out=col)
         # both t-dependent margins are taken in the lower bound's buffer: first
         # G minus the bound, then the triangle's
-        margin = lower_envelope(ts, ss)
+        margin = lower_envelope(ts, ss, out=m_block)
         np.minimum(lo[-2], np.subtract(g, margin, out=margin).min(axis=0), out=lo[-2])
         np.subtract(ts, ss, out=margin)
         np.square(margin, out=margin)
@@ -161,8 +170,6 @@ def _sweep(grid, thetas, starts, height):
         np.divide(margin, 6.0, out=margin)
         np.subtract(g, margin, out=margin)
         np.minimum(lo[-1], np.min(margin, axis=0, where=ss <= ts, initial=np.inf), out=lo[-1])
-        # freed before green builds the next block, so at most two are live
-        del g, margin
     return lo, hi
 
 

@@ -254,7 +254,8 @@ def test_criterion_7_certificate_arithmetic():
 
 
 def test_criterion_8_fault_injection(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify, "green", lambda t, s: green(t, s) - 0.01)
+    monkeypatch.setattr(verify, "green",
+                        lambda t, s, **buffers: green(t, s, **buffers) - 0.01)
     code = main(["verify", "--out", str(tmp_path)])
     scorecard = json.loads((tmp_path / "verify.json").read_text())
     failed = {c["name"] for c in scorecard["checks"] if not c["passed"]}

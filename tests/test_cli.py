@@ -411,7 +411,8 @@ def test_classify_json_carries_the_witness(tmp_path):
 
 
 def test_verify_detects_perturbed_kernel(tmp_path, monkeypatch):
-    monkeypatch.setattr(verify, "green", lambda t, s: green(t, s) - 0.01)
+    monkeypatch.setattr(verify, "green",
+                        lambda t, s, **buffers: green(t, s, **buffers) - 0.01)
     code = main(["verify", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_CHECK_FAILED
     scorecard = json.loads((tmp_path / "verify.json").read_text())

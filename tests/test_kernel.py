@@ -84,6 +84,26 @@ def test_in_place_evaluation_matches_the_formula_bit_for_bit(fn, as_written):
                                       np.asarray(expected).view(np.int64))
 
 
+@pytest.mark.parametrize("fn, names", [(green, ("out", "work")), (lower_envelope, ("out",))],
+                         ids=["green", "lower_envelope"])
+def test_evaluation_into_given_arrays_matches_bit_for_bit(fn, names):
+    # verify's sweep passes its buffers whole, or their first rows for the
+    # last, partial block: the result is written to out and returned, and
+    # nothing outside the given arrays is touched
+    for t, s in _kernel_inputs():
+        shape = np.broadcast_shapes(np.shape(t), np.shape(s))
+        if not shape:
+            continue  # a scalar comes back as a float
+        expected = fn(t, s)
+        for spare in (0, 3):
+            store = np.full((len(names), shape[0] + spare, *shape[1:]), np.nan)
+            buffers = dict(zip(names, store[:, :shape[0]]))
+            got = fn(t, s, **buffers)
+            assert got is buffers["out"]
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            assert np.all(np.isnan(store[:, shape[0]:]))
+
+
 def test_green_cubes_no_negative_base(monkeypatch):
     # every base np.power cubes on a lane it writes is nonnegative: above the
     # diagonal t - s < 0, which pow is slow on and the branch drops anyway

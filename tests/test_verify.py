@@ -29,8 +29,8 @@ def test_branch_match_passes_on_the_kernel():
 
 
 def test_branch_match_catches_a_jump_on_the_diagonal(monkeypatch):
-    def jumping(t, s):
-        return green(t, s) + np.where(np.asarray(s) > np.asarray(t), 1e-9, 0.0)
+    def jumping(t, s, **buffers):
+        return green(t, s, **buffers) + np.where(np.asarray(s) > np.asarray(t), 1e-9, 0.0)
 
     monkeypatch.setattr(verify, "green", jumping)
     scorecard = verify.run_checks()
@@ -89,20 +89,26 @@ def _full_block_margins(kernel, thetas, q):
 
 
 def _fault_at(i, j, fault=np.nan):
-    """G plus fault at the sweep's grid point t = grid[i], s = grid[j]."""
+    """G plus fault at the sweep's grid point t = grid[i], s = grid[j].
+
+    Like every corrupted kernel here, it fills the buffers the sweep passes
+    with the true G and returns a fresh array, so a sweep that read its
+    buffer instead of what green returns would miss the fault.
+    """
     grid = np.linspace(0.0, 1.0, verify.GRID_M)
 
-    def kernel(t, s):
+    def kernel(t, s, **buffers):
         t, s = np.asarray(t), np.asarray(s)
-        return green(t, s) + np.where((t == grid[i]) & (s == grid[j]), fault, 0.0)
+        return green(t, s, **buffers) + np.where((t == grid[i]) & (s == grid[j]), fault, 0.0)
     return kernel
 
 
 @pytest.mark.parametrize("kernel", [
     green,
-    lambda t, s: green(t, s) - 0.01,
+    lambda t, s, **buffers: green(t, s, **buffers) - 0.01,
     # rounding-sized noise, so that the per-point differences round unevenly
-    lambda t, s: green(t, s) * (1.0 + 3e-16 * np.sin(1e3 * np.asarray(t) + 7e2 * np.asarray(s))),
+    lambda t, s, **buffers: green(t, s, **buffers)
+    * (1.0 + 3e-16 * np.sin(1e3 * np.asarray(t) + 7e2 * np.asarray(s))),
     _fault_at(500, 300),
     # the first row of the block t >= 0.448
     _fault_at(7 * ROW_BLOCK, 300, -0.01),
@@ -146,9 +152,9 @@ def test_kernel_sweep_peak_is_a_few_blocks(traced_peak):
     thetas = [0.1, 0.25, 0.4]
     q = default_quadrature()
     verify._kernel_checks(thetas, np.random.default_rng(1), q)
-    # measured 1.23 MiB on one worker and 1.41 on two: at most two 64 x 1001
-    # blocks (0.49 MiB each) are live, green's result and its cube, or G and
-    # the margin buffer; a third block would read about 1.7
+    # measured 1.23 MiB on one worker and 1.41 on two: each worker's two
+    # buffers of ROW_BLOCK // workers rows (0.49 MiB each at 64 rows) hold G,
+    # and green's cube and then the margins; a third block would read about 1.7
     peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
     assert peak <= 1.5
 
@@ -161,8 +167,8 @@ def test_kernel_sweep_peak_is_a_few_blocks(traced_peak):
 def test_a_fault_in_the_last_partial_row_block_is_caught(monkeypatch, fault, failed):
     # 1001 rows in blocks of ROW_BLOCK = 64 leave t >= 0.96 to a last,
     # partial block of 41 rows
-    def corrupted(t, s):
-        return green(t, s) + np.where(np.asarray(t) > 0.96, fault, 0.0)
+    def corrupted(t, s, **buffers):
+        return green(t, s, **buffers) + np.where(np.asarray(t) > 0.96, fault, 0.0)
 
     monkeypatch.setattr(verify, "green", corrupted)
     scorecard = verify.run_checks()
@@ -275,14 +281,41 @@ def test_scorecards_do_not_depend_on_the_worker_count(monkeypatch, serial_scorec
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_kernel_sweep_peak_is_a_few_blocks_at_every_cpu_count(monkeypatch, traced_peak, cpus):
-    # W workers each hold two blocks of ROW_BLOCK // W rows and about
-    # 0.18 MiB more; MAX_SWEEP_WORKERS = 2 keeps the sweep at 1.41 MiB
+    # W workers each hold two block buffers of ROW_BLOCK // W rows and about
+    # 0.18 MiB more; MAX_SWEEP_WORKERS = 2 keeps the sweep at 1.41 MiB, where
+    # 3 and 4 workers read 1.54-1.57 and 1.73-1.77
     monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
     thetas = [0.1, 0.25, 0.4]
     q = default_quadrature()
     verify._kernel_checks(thetas, np.random.default_rng(1), q)
     peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
     assert peak <= 1.5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_sweep_worker_evaluates_every_block_into_one_pair_of_buffers(monkeypatch,
+                                                                        workers):
+    # a fresh block array per block goes back to the OS when freed, and the
+    # next block faults its pages in again
+    calls = []
+
+    def spy(t, s, **buffers):
+        if np.ndim(t) == 2:  # a sweep block, not the branch check's points
+            calls.append((threading.get_ident(),
+                          *(buffers[k].__array_interface__["data"][0] if k in buffers else None
+                            for k in ("out", "work"))))
+        return green(t, s, **buffers)
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(verify, "green", spy)
+    verify._kernel_checks([0.1, 0.25, 0.4], np.random.default_rng(1), default_quadrature())
+    assert len(calls) == len(range(0, verify.GRID_M, ROW_BLOCK // workers))
+    threads = {ident for ident, _, _ in calls}
+    assert len(threads) == workers
+    for thread in threads:
+        outs, works = ({p[k] for p in calls if p[0] == thread} for k in (1, 2))
+        assert len(outs) == len(works) == 1 and None not in outs | works
+        assert outs != works
 
 
 class _LateBlockError(Exception):
@@ -297,11 +330,11 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch, start, on_main):
     grid = np.linspace(0.0, 1.0, verify.GRID_M)
     raised_on_main = []
 
-    def failing(t, s):
+    def failing(t, s, **buffers):
         if np.ndim(t) == 2 and t[0, 0] == grid[start]:
             raised_on_main.append(threading.current_thread() is threading.main_thread())
             raise _LateBlockError(start)
-        return green(t, s)
+        return green(t, s, **buffers)
 
     monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
     monkeypatch.setattr(verify, "green", failing)
