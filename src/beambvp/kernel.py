@@ -62,7 +62,7 @@ def green(t, s, out=None, work=None):
     """G(t, s), piecewise cubic with the kink on the diagonal s = t.
 
     Accepts scalars or broadcastable arrays; on the diagonal both branch
-    formulas agree. Raises OutOfDomain off the unit square.
+    formulas agree. Raises OutOfDomain off the unit square, or at a nan.
 
     [t^3 (1-s)^2 - (t-s)^3] / 6 on s <= t and t^3 (1-s)^2 / 6 above it,
     built in place in two arrays: the result and the cube (t-s)^3. The cube
@@ -77,14 +77,14 @@ def green(t, s, out=None, work=None):
     """
     t = np.asarray(t)
     s = np.asarray(s)
-    if np.any(t < 0) or np.any(t > 1) or np.any(s < 0) or np.any(s > 1):
+    if not (np.all((0 <= t) & (t <= 1)) and np.all((0 <= s) & (s <= 1))):
         raise OutOfDomain("green(t, s) requires 0 <= t, s <= 1")
     shape = np.broadcast_shapes(t.shape, s.shape)
     g = np.multiply(t**3, (1.0 - s) ** 2, out=np.empty(shape) if out is None else out)
     cube = np.subtract(t, s, out=np.empty(shape) if work is None else work)
     below = s <= t
     np.power(cube, 3, out=cube, where=below)
-    # g - 0 is g, so above the diagonal (and at a nan) g is left as it is
+    # g - 0 is g, so above the diagonal g is left as it is
     np.subtract(g, cube, out=g, where=below)
     g /= 6.0
     return g if g.ndim else float(g)
@@ -104,13 +104,14 @@ def lower_envelope(t, s, out=None):
     rho rises on [0, 2/3] and rho(1 - theta) >= rho(theta) for theta < 1/2,
     so on a strip theta <= t <= 1 - theta rho is least at t = theta, where
     it is theta^3/6: lower_envelope(theta, s) is G's floor on the strip.
-    Raises OutOfDomain unless 0 <= t <= 1. out, a float array of the
-    broadcast shape (a view is fine), receives the result and is returned;
-    without it the result is a fresh array, the same bit for bit.
+    Raises OutOfDomain unless 0 <= t <= 1, so at a nan t too. out, a float
+    array of the broadcast shape (a view is fine), receives the result and
+    is returned; without it the result is a fresh array, the same bit for
+    bit.
     """
     t = np.asarray(t)
     s = np.asarray(s)
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((0 <= t) & (t <= 1)):
         raise OutOfDomain("lower_envelope(t, s) requires 0 <= t <= 1")
     shape = np.broadcast_shapes(t.shape, s.shape)
     v = np.multiply(np.minimum(t**3, t**2 * (1.0 - t)) / 6.0, s,

@@ -358,7 +358,7 @@ def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
     """Natural interpolation u(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j),
     with the operator's product weights.
 
-    Raises OutOfDomain for t outside [0, 1].
+    Raises OutOfDomain for t outside [0, 1] or nan.
     """
     return _green_sum(problem.a, problem.quad, problem.f(u.values), ts)
 
@@ -370,7 +370,7 @@ def _green_sum(a: Expression, q: Quadrature, g, ts) -> np.ndarray:
     one constant, the nonlocal sum of the Green's part at the rule's nodes.
     """
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < 0) or np.any(ts > 1):
+    if not np.all((0 <= ts) & (ts <= 1)):
         raise OutOfDomain("interpolation points must lie in [0, 1]")
     # the Green's part at the evaluation points, then at the nodes
     t = np.concatenate([ts.ravel(), q.nodes])

@@ -10,18 +10,13 @@ the kernel, and each cubic load's closed-form solution checks the sum to
 rounding. The kernel checks call this module's `green` (all but the
 nonlocal weight W, which comes from `kernel_weight`), so a test that
 replaces it with a corrupted kernel confirms that the corruption is
-caught. They sweep one grid, GRID_M x GRID_M, on W worker threads, one
-per CPU the process may use and at most MAX_SWEEP_WORKERS; with one CPU
-the sweep is one loop on the calling thread. Worker k takes every W-th
-block of ROW_BLOCK // W rows, starting with the k-th, and allocates two
-block arrays once per sweep. Every block is evaluated into them (green's
-out and work, then the margins), so no block faults fresh pages in, and
-the sweep reads G from what green returns, which a replaced kernel need
-not put in out. The W workers hold two blocks of ROW_BLOCK // W rows
-each, and the sweep's memory is set by the block, not by the grid. What
-the sweep keeps is per-column minima and maxima, which are merged across
-workers with np.minimum and np.maximum; both are exact, so no margin
-depends on W. Bounds that depend on s alone (G >= 0, the upper envelope,
+caught. They sweep one grid, GRID_M x GRID_M, in one loop over blocks of
+ROW_BLOCK rows, and allocate two block arrays once per sweep. Every block
+is evaluated into them (green's out and work, then the margins), so no
+block faults fresh pages in, and the sweep reads G from what green
+returns, which a replaced kernel need not put in out. The sweep's memory
+is set by the block, not by the grid: what it keeps is per-column minima
+and maxima. Bounds that depend on s alone (G >= 0, the upper envelope,
 the strip floors and the kernel bound on G + W) are checked on the
 per-column minima and maxima of G over the rows, and each bound is
 subtracted once per column after the sweep: fl(x - c) and fl(x + c) are
@@ -31,9 +26,6 @@ per point, in the lower bound's buffer, before their columns' minima.
 """
 
 from __future__ import annotations
-
-import os
-import threading
 
 import numpy as np
 
@@ -62,14 +54,6 @@ GRID_M = 1001
 # 4.5e-8
 CUBIC_EXACT_TOL = 1e-11
 
-# the kernel sweep runs on one thread per CPU the process may use, at most
-# this many, each over blocks of ROW_BLOCK // workers rows. Every worker
-# adds about 0.18 MiB besides its two block buffers (its column extremes and
-# numpy's iterator buffers for green's and the triangle's masked
-# operations), so a third would lift the sweep's traced peak from 1.41 to
-# 1.54-1.57 MiB
-MAX_SWEEP_WORKERS = 2
-
 
 def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
     """Run every suite; returns a scorecard dict ready for JSON.
@@ -93,16 +77,7 @@ def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
 
 def _kernel_checks(thetas, rng, q):
     grid = np.linspace(0.0, 1.0, GRID_M)
-    workers = min(_cpu_count(), MAX_SWEEP_WORKERS)
-    height = ROW_BLOCK // workers
-    starts = range(0, GRID_M, height)
-    # worker k sweeps blocks k, k + workers, ...; min and max are exact, so
-    # merging the workers' extremes gives what one sweep would
-    (lo, hi), *rest = _in_threads(
-        lambda k: _sweep(grid, thetas, starts[k::workers], height), workers)
-    for part_lo, part_hi in rest:
-        np.minimum(lo, part_lo, out=lo)
-        np.maximum(hi, part_hi, out=hi)
+    lo, hi = _sweep(grid, thetas)
     col_min, *strip_cols, lower_col, triangle_col = lo
 
     # a bound that depends on s alone comes off each column's extreme once:
@@ -132,9 +107,8 @@ def _kernel_checks(thetas, rng, q):
     return results
 
 
-def _sweep(grid, thetas, starts, height):
-    """Per-column extremes of G over the row blocks grid[start:start + height],
-    start in starts, as (lo, hi).
+def _sweep(grid, thetas):
+    """Per-column extremes of G over the rows t of grid, as (lo, hi).
 
     hi is each column's maximum of G. lo's rows are each column's minimum of
     G, of G on each theta's strip rows theta <= t <= 1 - theta, of G minus
@@ -147,9 +121,9 @@ def _sweep(grid, thetas, starts, height):
     # every block is evaluated into these two: G's, and the cube's and then
     # the margins'. Fresh block arrays would go back to the OS when freed
     # and fault their pages in again in the next block
-    g_buf, m_buf = np.empty((2, height, GRID_M))
-    for start in starts:
-        ts = grid[start:start + height, None]
+    g_buf, m_buf = np.empty((2, ROW_BLOCK, GRID_M))
+    for start in range(0, GRID_M, ROW_BLOCK):
+        ts = grid[start:start + ROW_BLOCK, None]
         g_block, m_block = g_buf[:len(ts)], m_buf[:len(ts)]
         # green may return another array than g_block (a test's kernel does)
         g = green(ts, ss, out=g_block, work=m_block)
@@ -171,44 +145,6 @@ def _sweep(grid, thetas, starts, height):
         np.subtract(g, margin, out=margin)
         np.minimum(lo[-1], np.min(margin, axis=0, where=ss <= ts, initial=np.inf), out=lo[-1])
     return lo, hi
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    has one, else every CPU."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _in_threads(fn, n):
-    """[fn(0), ..., fn(n - 1)]: fn(0) runs on this thread, the others on
-    threads of their own. Every thread has ended when this returns or
-    raises. If calls raise, the exception of the lowest such k is raised
-    again here."""
-    results = [None] * n
-    errors = [None] * n
-
-    def run(k):
-        try:
-            results[k] = fn(k)
-        except BaseException as exc:
-            errors[k] = exc
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0)
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
 
 
 def _path_checks(rng, q):

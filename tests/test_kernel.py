@@ -63,7 +63,6 @@ def _kernel_inputs():
         (t_rand, s_rand), (t_rand, t_rand), (t_rand, np.nextafter(t_rand, 1.0)),
         (0.5, 0.3), (0.3, 0.5), (0.5, 0.5), (1, 0), (0.25, grid), (grid[:, None], 0.75),
         (edges[:, None], grid[None, :]), (grid[:, None], edges[None, :]),
-        (np.nan, 0.5), (0.5, np.nan), (np.array([0.2, np.nan, 0.7]), 0.4),
         # the s <= t mask's edges: signed zeros, tiny positive bases, blocks
         # wholly above and wholly below the diagonal, and the far corner
         (0.0, -0.0), (-0.0, 0.0), (t_rand, np.nextafter(t_rand, 0.0)),
@@ -136,12 +135,14 @@ def test_green_branches_agree_on_diagonal():
 
 
 def test_green_out_of_domain():
-    with pytest.raises(OutOfDomain):
-        green(-0.1, 0.5)
-    with pytest.raises(OutOfDomain):
-        green(0.5, 1.5)
-    with pytest.raises(OutOfDomain):
-        lower_envelope(2.0, 0.5)
+    # a nan fails every comparison, so it lies outside the square too
+    for t, s in [(-0.1, 0.5), (0.5, 1.5), (np.nan, 0.5), (0.5, np.nan),
+                 (np.array([0.2, np.nan, 0.7]), 0.4)]:
+        with pytest.raises(OutOfDomain):
+            green(t, s)
+    for t in (2.0, np.nan, np.array([0.2, np.nan])):
+        with pytest.raises(OutOfDomain):
+            lower_envelope(t, 0.5)
 
 
 def test_lower_envelope_values():

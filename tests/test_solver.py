@@ -473,7 +473,7 @@ def test_interpolate_matches_subrule_reference(panels, points):
 
 def test_interpolate_rejects_points_off_the_interval(super_problem):
     u = constant_start(build_operator(super_problem), 1.0)
-    for t in (-0.1, 1.1):
+    for t in (-0.1, 1.1, np.nan):
         with pytest.raises(OutOfDomain):
             interpolate(u, super_problem, np.array([0.5, t]))
 

@@ -1,4 +1,3 @@
-import sys
 import threading
 
 import numpy as np
@@ -152,9 +151,9 @@ def test_kernel_sweep_peak_is_a_few_blocks(traced_peak):
     thetas = [0.1, 0.25, 0.4]
     q = default_quadrature()
     verify._kernel_checks(thetas, np.random.default_rng(1), q)
-    # measured 1.23 MiB on one worker and 1.41 on two: each worker's two
-    # buffers of ROW_BLOCK // workers rows (0.49 MiB each at 64 rows) hold G,
-    # and green's cube and then the margins; a third block would read about 1.7
+    # measured 1.23 MiB: two buffers of ROW_BLOCK rows (0.49 MiB each) hold
+    # G, and green's cube and then the margins; a third block would read
+    # about 1.7
     peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
     assert peak <= 1.5
 
@@ -243,103 +242,45 @@ def test_cubic_closed_form_meets_the_finite_difference_path(power):
         assert np.max(np.abs(fd.values - exact)) <= verify.PATH_EQUIVALENCE_C / 400**2
 
 
-def _bits(scorecard):
-    return np.array([c["margin"] for c in scorecard["checks"]]).view(np.int64)
-
-
-@pytest.fixture(scope="module")
-def serial_scorecards():
-    """run_checks on one thread at two seeds and thetas, the sweep as one loop."""
-    cases = [(1, 0.25), (73, 0.495)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(verify, "_cpu_count", lambda: 1)
-        return {case: verify.run_checks(*case) for case in cases}
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_scorecards_do_not_depend_on_the_worker_count(monkeypatch, serial_scorecards, workers):
-    # min and max are exact, so every split of the rows over the workers
-    # merges to the same margins, bit for bit; 3 workers sweep blocks of 21
-    # rows, so the strips' edges fall inside other blocks than at 64. A short
-    # switch interval interleaves the workers' Python steps finely
-    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
-    monkeypatch.setattr(verify, "MAX_SWEEP_WORKERS", 4)
-    counts = []
-    in_threads = verify._in_threads
-    monkeypatch.setattr(verify, "_in_threads", lambda fn, n: counts.append(n) or in_threads(fn, n))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        scorecards = {case: verify.run_checks(*case) for case in serial_scorecards}
-    finally:
-        sys.setswitchinterval(interval)
-    for case, serial in serial_scorecards.items():
-        assert scorecards[case] == serial
-        np.testing.assert_array_equal(_bits(scorecards[case]), _bits(serial))
-    assert counts == [workers] * len(serial_scorecards)
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_kernel_sweep_peak_is_a_few_blocks_at_every_cpu_count(monkeypatch, traced_peak, cpus):
-    # W workers each hold two block buffers of ROW_BLOCK // W rows and about
-    # 0.18 MiB more; MAX_SWEEP_WORKERS = 2 keeps the sweep at 1.41 MiB, where
-    # 3 and 4 workers read 1.54-1.57 and 1.73-1.77
-    monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
-    thetas = [0.1, 0.25, 0.4]
-    q = default_quadrature()
-    verify._kernel_checks(thetas, np.random.default_rng(1), q)
-    peak = traced_peak(lambda: verify._kernel_checks(thetas, np.random.default_rng(1), q))
-    assert peak <= 1.5
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_each_sweep_worker_evaluates_every_block_into_one_pair_of_buffers(monkeypatch,
-                                                                        workers):
+def test_the_sweep_evaluates_every_block_into_one_pair_of_buffers(monkeypatch):
     # a fresh block array per block goes back to the OS when freed, and the
     # next block faults its pages in again
     calls = []
 
     def spy(t, s, **buffers):
         if np.ndim(t) == 2:  # a sweep block, not the branch check's points
-            calls.append((threading.get_ident(),
-                          *(buffers[k].__array_interface__["data"][0] if k in buffers else None
-                            for k in ("out", "work"))))
+            calls.append(tuple(buffers[k].__array_interface__["data"][0] if k in buffers else None
+                               for k in ("out", "work")))
         return green(t, s, **buffers)
 
-    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
     monkeypatch.setattr(verify, "green", spy)
     verify._kernel_checks([0.1, 0.25, 0.4], np.random.default_rng(1), default_quadrature())
-    assert len(calls) == len(range(0, verify.GRID_M, ROW_BLOCK // workers))
-    threads = {ident for ident, _, _ in calls}
-    assert len(threads) == workers
-    for thread in threads:
-        outs, works = ({p[k] for p in calls if p[0] == thread} for k in (1, 2))
-        assert len(outs) == len(works) == 1 and None not in outs | works
-        assert outs != works
+    assert len(calls) == -(-verify.GRID_M // ROW_BLOCK)
+    outs, works = ({call[k] for call in calls} for k in (0, 1))
+    assert len(outs) == len(works) == 1 and None not in outs | works
+    assert outs != works
 
 
 class _LateBlockError(Exception):
     pass
 
 
-@pytest.mark.parametrize("start, on_main", [(960, True), (992, False)])
-def test_a_worker_exception_reaches_the_caller(monkeypatch, start, on_main):
-    # two workers of 32 rows: the block at row 960 is the calling thread's,
-    # the last one, at 992, the other worker's; either raises its own type,
-    # and no thread outlives the call
+def test_an_exception_in_the_last_block_reaches_the_caller(monkeypatch):
+    # the last, partial block starts at row 960; the sweep is one loop on the
+    # calling thread, so a started thread fails the test here
     grid = np.linspace(0.0, 1.0, verify.GRID_M)
-    raised_on_main = []
+    error = _LateBlockError(960)
 
     def failing(t, s, **buffers):
-        if np.ndim(t) == 2 and t[0, 0] == grid[start]:
-            raised_on_main.append(threading.current_thread() is threading.main_thread())
-            raise _LateBlockError(start)
+        if np.ndim(t) == 2 and t[0, 0] == grid[960]:
+            raise error
         return green(t, s, **buffers)
 
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    def no_thread(thread):
+        raise AssertionError(f"the sweep started {thread}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(verify, "green", failing)
-    before = threading.enumerate()
-    with pytest.raises(_LateBlockError):
+    with pytest.raises(_LateBlockError) as raised:
         verify.run_checks()
-    assert threading.enumerate() == before
-    assert raised_on_main == [on_main]
+    assert raised.value is error
