@@ -242,7 +242,47 @@ def test_cubic_closed_form_meets_the_finite_difference_path(power):
         assert np.max(np.abs(fd.values - exact)) <= verify.PATH_EQUIVALENCE_C / 400**2
 
 
-def test_the_sweep_evaluates_every_block_into_one_pair_of_buffers(monkeypatch):
+def _bits(scorecard):
+    return np.array([c["margin"] for c in scorecard["checks"]]).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def row_block_scorecards():
+    """run_checks at two seeds and thetas, the sweep in blocks of ROW_BLOCK rows."""
+    return {case: verify.run_checks(*case) for case in [(1, 0.25), (73, 0.495)]}
+
+
+@pytest.mark.parametrize("height", [1, 21, 100, 1001])
+def test_scorecards_do_not_depend_on_the_block_height(monkeypatch, row_block_scorecards,
+                                                      height):
+    # min and max are exact, so every split of the rows into blocks gives the
+    # same margins, bit for bit: blocks of one row, of 21 rows (the strips'
+    # edges fall inside other blocks than at 64), of 100 (the 0.1 strip
+    # starts and ends on a block's edge) and the whole grid as one block
+    monkeypatch.setattr(verify, "ROW_BLOCK", height)
+    for case, reference in row_block_scorecards.items():
+        scorecard = verify.run_checks(*case)
+        assert scorecard == reference
+        np.testing.assert_array_equal(_bits(scorecard), _bits(reference))
+
+
+@pytest.mark.parametrize("height", [16, 21, 32, 128])
+def test_kernel_sweep_peak_is_two_blocks_at_every_block_height(monkeypatch, traced_peak,
+                                                              height):
+    # two float buffers and the s <= t mask of height x GRID_M, and about
+    # 0.2 MiB that does not grow with the block (numpy's iterator buffer and
+    # the per-column extremes): measured 0.44, 0.52, 0.70 and 2.26 MiB, each
+    # 0.07 under the bound, where a third buffer would add 0.12 to 1.95
+    monkeypatch.setattr(verify, "ROW_BLOCK", height)
+    grid = np.linspace(0.0, 1.0, verify.GRID_M)
+    thetas = [0.1, 0.25, 0.4]
+    verify._sweep(grid, thetas)
+    peak = traced_peak(lambda: verify._sweep(grid, thetas))
+    assert peak <= height * verify.GRID_M * (2 * 8 + 1) / 2**20 + 0.25
+
+
+@pytest.mark.parametrize("height", [ROW_BLOCK, 21, 1001])
+def test_the_sweep_evaluates_every_block_into_one_pair_of_buffers(monkeypatch, height):
     # a fresh block array per block goes back to the OS when freed, and the
     # next block faults its pages in again
     calls = []
@@ -253,26 +293,29 @@ def test_the_sweep_evaluates_every_block_into_one_pair_of_buffers(monkeypatch):
                                for k in ("out", "work")))
         return green(t, s, **buffers)
 
+    monkeypatch.setattr(verify, "ROW_BLOCK", height)
     monkeypatch.setattr(verify, "green", spy)
     verify._kernel_checks([0.1, 0.25, 0.4], np.random.default_rng(1), default_quadrature())
-    assert len(calls) == -(-verify.GRID_M // ROW_BLOCK)
+    assert len(calls) == -(-verify.GRID_M // height)
     outs, works = ({call[k] for call in calls} for k in (0, 1))
     assert len(outs) == len(works) == 1 and None not in outs | works
     assert outs != works
 
 
-class _LateBlockError(Exception):
+class _BlockError(Exception):
     pass
 
 
-def test_an_exception_in_the_last_block_reaches_the_caller(monkeypatch):
-    # the last, partial block starts at row 960; the sweep is one loop on the
-    # calling thread, so a started thread fails the test here
+@pytest.mark.parametrize("start", [0, 512, 960])
+def test_an_exception_in_any_block_reaches_the_caller(monkeypatch, start):
+    # the first block, one inside the grid and the last, partial one, at
+    # row 960; the sweep is one loop on the calling thread, so a started
+    # thread fails the test here
     grid = np.linspace(0.0, 1.0, verify.GRID_M)
-    error = _LateBlockError(960)
+    error = _BlockError(start)
 
     def failing(t, s, **buffers):
-        if np.ndim(t) == 2 and t[0, 0] == grid[960]:
+        if np.ndim(t) == 2 and t[0, 0] == grid[start]:
             raise error
         return green(t, s, **buffers)
 
@@ -281,6 +324,6 @@ def test_an_exception_in_the_last_block_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     monkeypatch.setattr(verify, "green", failing)
-    with pytest.raises(_LateBlockError) as raised:
+    with pytest.raises(_BlockError) as raised:
         verify.run_checks()
     assert raised.value is error
