@@ -60,9 +60,9 @@ class Problem:
 def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -> Problem:
     """Assemble a Problem from expressions or expression text.
 
-    The cone constants are computed here without enforcing the
-    admissibility window on alpha, so that validate_hypotheses can report
-    violations as data instead of refusing to construct the problem.
+    The cone constants are computed here without enforcing the window on
+    alpha, and are nan where a is not finite at a node of the rule, so that
+    validate_hypotheses can report violations as data.
     """
     if isinstance(f, str):
         f = parse(f, "u")
@@ -71,8 +71,10 @@ def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -
     if not 0.0 < theta < 0.5:
         raise InvalidConfig(f"theta must lie in (0, 1/2), got {theta}")
     quad = quad if quad is not None else default_quadrature()
-    alpha = integrate(a, quad)
-    beta = integrate_on(a, theta, 1.0 - theta, quad)
+    try:
+        alpha, beta = integrate(a, quad), integrate_on(a, theta, 1.0 - theta, quad)
+    except DomainError:
+        alpha = beta = np.nan
     cone = ConeConstants(alpha, beta, theta**3 * (1.0 - alpha + beta))
     return Problem(f, a, theta, cone, quad)
 
@@ -114,13 +116,16 @@ def validate_hypotheses(problem: Problem) -> ValidationReport:
     ts = np.linspace(0.0, 1.0, 2001)
     try:
         av = np.asarray(problem.a(ts))
+        if np.isnan(problem.cone.alpha):
+            # make_problem met a not finite at a node of the rule, off this grid
+            raise DomainError("not finite at a quadrature node")
         if np.any(av < 0.0):
             at = float(ts[int(np.argmin(av))])
             found.append(Violation("a-negative", f"a({at}) = {float(np.min(av))} < 0", at))
     except DomainError as exc:
         found.append(Violation("a-domain", f"a is not finite on [0, 1]: {exc}", np.nan))
     alpha = problem.cone.alpha
-    if not ALPHA_MARGIN < alpha < 1.0 - ALPHA_MARGIN:
+    if not np.isnan(alpha) and not ALPHA_MARGIN < alpha < 1.0 - ALPHA_MARGIN:
         found.append(Violation(
             "alpha-range",
             f"integral of a is {alpha}, outside the admissible window (0, 1)",

@@ -7,12 +7,12 @@ u(0) = integral_0^1 a(s) u(s) ds, the solution is
 
 with the triangular Green's function G and the t-independent nonlocal
 weight W(s) = (1/(1-alpha)) integral_0^1 a(tau) G(tau, s) dtau,
-alpha = integral_0^1 a. This module evaluates G and its envelopes, and
-the moments behind the product weights that integrate G exactly against
-each panel's interpolant (product_weights). It is the one place the
-integral condition enters: it owns the window that alpha must lie in and
-the nonlocal sum that gives both W and the constant the condition adds to
-a Green's integral.
+alpha = integral_0^1 a. This module evaluates G, its envelopes on [0, 1],
+and the product weights that integrate G exactly against each panel's
+interpolant, with their one sum (green_sum for a load, nystrom_matrix for
+unit loads). It is the one place the integral condition enters: it owns
+the window that alpha must lie in and the nonlocal sum that gives both W
+and the constant the condition adds to a Green's integral.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .quadrature import Quadrature, _sample, _reference_rule
 # rows that a dense evaluation computes at once (verify's kernel sweep,
 # green.csv, the Newton-start scan's radii), so that its temporaries are a
 # few ROW_BLOCK x M arrays, not M x M ones; the Nystrom matrix is built by
-# columns, ROW_BLOCK // 4 unit loads at a time (solver.build_operator)
+# columns, ROW_BLOCK // 4 unit loads at a time (nystrom_matrix)
 ROW_BLOCK = 64
 
 # 1 - alpha divides the nonlocal sum, and quadrature rounding can land an
@@ -43,6 +43,14 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha < 1.0 - ALPHA_MARGIN:
         raise HypothesisViolation(f"alpha = {alpha} outside [0, 1 - {ALPHA_MARGIN})")
     return alpha
+
+
+def _unit(x, name: str):
+    """x as an array; raises OutOfDomain, naming the caller, off [0, 1] or at a nan."""
+    x = np.asarray(x)
+    if not np.all((0 <= x) & (x <= 1)):
+        raise OutOfDomain(f"{name} takes points in [0, 1] only")
+    return x
 
 
 def _nonlocal_sum(a, q: Quadrature, g):
@@ -75,10 +83,7 @@ def green(t, s, out=None, work=None):
     such as a row slice of a larger buffer, and without them both arrays
     are fresh. G is the same bit for bit either way.
     """
-    t = np.asarray(t)
-    s = np.asarray(s)
-    if not (np.all((0 <= t) & (t <= 1)) and np.all((0 <= s) & (s <= 1))):
-        raise OutOfDomain("green(t, s) requires 0 <= t, s <= 1")
+    t, s = _unit(t, "green"), _unit(s, "green")
     shape = np.broadcast_shapes(t.shape, s.shape)
     g = np.multiply(t**3, (1.0 - s) ** 2, out=np.empty(shape) if out is None else out)
     cube = np.subtract(t, s, out=np.empty(shape) if work is None else work)
@@ -91,8 +96,8 @@ def green(t, s, out=None, work=None):
 
 
 def upper_envelope(s):
-    """s(1-s)^2 / 6, the uniform upper bound on G(., s)."""
-    s = np.asarray(s)
+    """s(1-s)^2 / 6, the uniform upper bound on G(., s); OutOfDomain off [0, 1]."""
+    s = _unit(s, "upper_envelope")
     v = s * (1.0 - s) ** 2 / 6.0
     return v if v.ndim else float(v)
 
@@ -104,15 +109,12 @@ def lower_envelope(t, s, out=None):
     rho rises on [0, 2/3] and rho(1 - theta) >= rho(theta) for theta < 1/2,
     so on a strip theta <= t <= 1 - theta rho is least at t = theta, where
     it is theta^3/6: lower_envelope(theta, s) is G's floor on the strip.
-    Raises OutOfDomain unless 0 <= t <= 1, so at a nan t too. out, a float
+    Raises OutOfDomain off the unit square, or at a nan. out, a float
     array of the broadcast shape (a view is fine), receives the result and
     is returned; without it the result is a fresh array, the same bit for
     bit.
     """
-    t = np.asarray(t)
-    s = np.asarray(s)
-    if not np.all((0 <= t) & (t <= 1)):
-        raise OutOfDomain("lower_envelope(t, s) requires 0 <= t <= 1")
+    t, s = _unit(t, "lower_envelope"), _unit(s, "lower_envelope")
     shape = np.broadcast_shapes(t.shape, s.shape)
     v = np.multiply(np.minimum(t**3, t**2 * (1.0 - t)) / 6.0, s,
                     out=np.empty(shape) if out is None else out)
@@ -176,6 +178,63 @@ def product_weights(q: Quadrature, ts):
     xi = 2.0 * (ts * panels - panel) - 1.0
     kink = (0.5 / panels) ** 4 * (np.vander(xi, p + 4, increasing=True) @ kink_poly.T)
     return moments, panel, kink
+
+
+def nystrom_matrix(a: Expression, q: Quadrature) -> np.ndarray:
+    """K[i, j] = integral G(t_i, s) l_j(s) ds + W_j at the rule q's nodes t_i,
+    with l_j node j's Lagrange basis and W that of the weight a: _green_part
+    for unit loads, ROW_BLOCK // 4 columns at a time, plus each column's
+    nonlocal sum. At 2, 4 and 6 points per panel every entry is nonnegative."""
+    n = q.npoints
+    weights = product_weights(q, q.nodes)
+    width = ROW_BLOCK // 4
+    kmat = np.empty((n, n))
+    for start in range(0, n, width):
+        units = np.eye(n, min(width, n - start), -start)
+        kmat[:, start:start + width] = _green_part(q, q.nodes, weights, units)
+    kmat += _nonlocal_sum(a, q, kmat)[None, :]
+    return kmat
+
+
+def green_sum(a: Expression, q: Quadrature, g, ts) -> np.ndarray:
+    """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, W
+    that of the weight a: nystrom_matrix's weights, in O((N + T) p).
+
+    The Green's part is _green_part's; since G(0, s) = 0 the nonlocal part is
+    one constant, the nonlocal sum of the Green's part at the rule's nodes.
+    Raises OutOfDomain for ts off [0, 1] or nan.
+    """
+    ts = _unit(np.asarray(ts, dtype=float), "green_sum")
+    # the Green's part at the evaluation points, then at the nodes
+    t = np.concatenate([ts.ravel(), q.nodes])
+    green_part = _green_part(q, t, product_weights(q, t), g)
+    const = _nonlocal_sum(a, q, green_part[ts.size:])
+    return np.reshape(green_part[:ts.size] + const, ts.shape)
+
+
+def _green_part(q: Quadrature, t: np.ndarray, weights, g) -> np.ndarray:
+    """sum_j integral G(t, s) l_j(s) ds g_j at the points t, for one load g on
+    the rule q's nodes or an N x C block of loads, one per column; weights
+    is product_weights(q, t). O((N + T) p) per load.
+
+    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6, the hump (t-s)_+^3 over
+    the panels wholly below t expands into prefix sums, over panels, of the
+    whole-panel moments of g, and the panel that holds t adds its partial
+    moments (product_weights).
+    """
+    moments, panel, kink = weights
+    # loads along the last axis: a block's rows are summed as one load is
+    g = np.asarray(g, dtype=float).T
+    lead = g.shape[:-1]
+    per_panel = np.cumsum((moments * g[..., None, :]).reshape(*lead, 4, q.panels, -1).sum(axis=-1),
+                          axis=-1)
+    below = np.concatenate([np.zeros((*lead, 4, 1)), per_panel], axis=-1)[..., panel]
+    m0, m1, m2, m3 = np.moveaxis(below, -2, 0)
+    t2 = t * t
+    hump = (t2 * t * m0 - 3.0 * t2 * m1 + 3.0 * t * m2 - m3
+            + np.sum(kink * g.reshape(*lead, q.panels, -1)[..., panel, :], axis=-1))
+    # t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate exactly
+    return ((t2 * t * np.dot(q.weights * g, (1.0 - q.nodes) ** 2)[..., None] - hump) / 6.0).T
 
 
 def kernel_weight(s, a: Expression, q: Quadrature):

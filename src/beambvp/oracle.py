@@ -10,9 +10,9 @@ suffices at every grid the oracle is used on. The banded system is
 solved here, by elimination in O(n) Python float operations, so the
 oracle needs nothing beyond numpy.
 
-verify checks the production Green's sum, the one behind the solver's
-interpolate and residuals, against this path; disagreement exposes a bug
-in either. fd_solve_nonlinear extends the path to u'''' + f(u) = 0 by
+verify checks kernel.green_sum, the production Green's sum behind the
+solver's interpolate and residuals, against this path; disagreement
+exposes a bug in either. fd_solve_nonlinear extends the path to u'''' + f(u) = 0 by
 Newton iteration.
 """
 

@@ -19,7 +19,7 @@ from .errors import DomainError, InvalidConfig, InvalidRange
 
 GAUSS_LEGENDRE = "composite-gauss-legendre"
 
-# points per panel at which the product-integration operator (solver.build_operator)
+# points per panel at which the product-integration operator (kernel.nystrom_matrix)
 # is entrywise nonnegative, as the continuous kernel is; at 3, 5 and 7 to 10
 # points it has negative entries
 ADMISSIBLE_POINTS = (2, 4, 6)

@@ -6,18 +6,16 @@ discretized by product integration (Atkinson, The Numerical Solution of
 Integral Equations of the Second Kind, 1997, sec. 4.2): f(u) is replaced
 by its interpolant on each panel of the quadrature rule, G times that
 interpolant is integrated exactly, split at the kink s = t, and the
-equation is collocated at the rule's nodes. Positive fixed points of the
-resulting finite map are located by damped Picard iteration and by a
-damped Newton method, whose starts solve_auto reads off the operator.
+equation is collocated at the rule's nodes (kernel.nystrom_matrix).
+Positive fixed points of that finite map are located by damped Picard
+iteration and by damped Newton, whose starts solve_auto reads off it.
 
 Each solve ends with one a-posteriori error estimate of the returned
 solution. The natural interpolant
 u_I(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j) is fed to the
 operator discretized by the same rule with twice the panels, A'; the
 defect max |A'[u_I] - u_I| at the refined nodes estimates the distance
-to the true solution in solution units. The operator, the interpolant and
-the refined sum are one routine, _green_part: the operator's columns are
-its sums for unit loads.
+to the true solution in solution units. Both sums are kernel.green_sum.
 """
 
 from __future__ import annotations
@@ -27,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import Certificate, Problem, certificate, log_grid
-from .errors import DomainError, InvalidConfig, OutOfDomain, SingularJacobian
-from .expressions import Expression
-from .kernel import ROW_BLOCK, _nonlocal_sum, product_weights
+from .errors import DomainError, InvalidConfig, SingularJacobian
+from .kernel import ROW_BLOCK, green_sum, nystrom_matrix
 from .quadrature import Quadrature, make_quadrature
 
 # an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
@@ -98,25 +95,9 @@ class SolveReport:
 
 
 def build_operator(problem: Problem) -> NystromOperator:
-    """Assemble K[i, j] = integral G(t_i, s) l_j(s) ds + W_j on the problem's rule.
-
-    l_j is the Lagrange basis of node j's panel. Column j of the Green's
-    part is _green_part's sum for the unit load on node j, taken
-    ROW_BLOCK // 4 columns at a time so that its four moment arrays are
-    ROW_BLOCK x N. The weight column W_j = sum_i a(s_i) w_i K_G[i, j] /
-    (1 - alpha) comes from the same Green's rows and the same rule as
-    alpha. At 2, 4 and 6 points per panel every entry is nonnegative, as
-    the continuous kernel is.
-    """
-    q, n = problem.quad, problem.quad.npoints
-    weights = product_weights(q, q.nodes)
-    width = ROW_BLOCK // 4
-    kmat = np.empty((n, n))
-    for start in range(0, n, width):
-        units = np.eye(n, min(width, n - start), -start)
-        kmat[:, start:start + width] = _green_part(q, q.nodes, weights, units)
-    kmat += _nonlocal_sum(problem.a, q, kmat)[None, :]
-    return NystromOperator(q, kmat, problem, certificate(problem))
+    """kernel.nystrom_matrix on the problem's rule, with its certificate."""
+    q = problem.quad
+    return NystromOperator(q, nystrom_matrix(problem.a, q), problem, certificate(problem))
 
 
 def apply(op: NystromOperator, u: DiscreteFunction) -> DiscreteFunction:
@@ -220,8 +201,10 @@ def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> Sol
     from each start that _cone_starts reads off the operator. Returns the
     first positive report (positive implies converged, see _finish_report);
     otherwise the first converged one, flagged not-positive, or the last
-    attempt if none converged. Failure is reported, never raised. Only the
-    returned report gets an error_estimate.
+    attempt if none converged; only that report gets an error_estimate.
+    No positive solution found, however the attempts end, is a report. An
+    invalid problem raises: HypothesisViolation (build_operator, alpha
+    outside [0, 1)) or SingularJacobian (newton, a failed linear solve).
     """
     op = build_operator(problem)
 
@@ -351,54 +334,10 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
         raise InvalidConfig("grid function does not live on the problem's nodes")
     fine = make_quadrature(2 * q.panels, q.points_per_panel)
     u_fine = interpolate(u, problem, fine.nodes)
-    return float(np.max(np.abs(_green_sum(problem.a, fine, problem.f(u_fine), fine.nodes) - u_fine)))
+    return float(np.max(np.abs(green_sum(problem.a, fine, problem.f(u_fine), fine.nodes) - u_fine)))
 
 
 def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
-    """Natural interpolation u(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j),
-    with the operator's product weights.
-
-    Raises OutOfDomain for t outside [0, 1] or nan.
-    """
-    return _green_sum(problem.a, problem.quad, problem.f(u.values), ts)
-
-
-def _green_sum(a: Expression, q: Quadrature, g, ts) -> np.ndarray:
-    """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, W
-    that of the weight a: the weights of build_operator, in O((N + T) p).
-    The Green's part is _green_part's; since G(0, s) = 0 the nonlocal part is
-    one constant, the nonlocal sum of the Green's part at the rule's nodes.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if not np.all((0 <= ts) & (ts <= 1)):
-        raise OutOfDomain("interpolation points must lie in [0, 1]")
-    # the Green's part at the evaluation points, then at the nodes
-    t = np.concatenate([ts.ravel(), q.nodes])
-    green_part = _green_part(q, t, product_weights(q, t), g)
-    const = _nonlocal_sum(a, q, green_part[ts.size:])
-    return np.reshape(green_part[:ts.size] + const, ts.shape)
-
-
-def _green_part(q: Quadrature, t: np.ndarray, weights, g) -> np.ndarray:
-    """sum_j integral G(t, s) l_j(s) ds g_j at the points t, for one load g on
-    the rule q's nodes or an N x C block of loads, one per column; weights
-    is product_weights(q, t). O((N + T) p) per load.
-
-    With G(t, s) = [t^3 (1-s)^2 - (t-s)_+^3] / 6, the hump (t-s)_+^3 over
-    the panels wholly below t expands into prefix sums, over panels, of the
-    whole-panel moments of g, and the panel that holds t adds its partial
-    moments (product_weights).
-    """
-    moments, panel, kink = weights
-    # loads along the last axis: a block's rows are summed as one load is
-    g = np.asarray(g, dtype=float).T
-    lead = g.shape[:-1]
-    per_panel = np.cumsum((moments * g[..., None, :]).reshape(*lead, 4, q.panels, -1).sum(axis=-1),
-                          axis=-1)
-    below = np.concatenate([np.zeros((*lead, 4, 1)), per_panel], axis=-1)[..., panel]
-    m0, m1, m2, m3 = np.moveaxis(below, -2, 0)
-    t2 = t * t
-    hump = (t2 * t * m0 - 3.0 * t2 * m1 + 3.0 * t * m2 - m3
-            + np.sum(kink * g.reshape(*lead, q.panels, -1)[..., panel, :], axis=-1))
-    # t^3 (1-s)^2 is a quadratic in s, which the plain weights integrate exactly
-    return ((t2 * t * np.dot(q.weights * g, (1.0 - q.nodes) ** 2)[..., None] - hump) / 6.0).T
+    """Natural interpolation u(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j)
+    (kernel.green_sum). Raises OutOfDomain for t outside [0, 1] or nan."""
+    return green_sum(problem.a, problem.quad, problem.f(u.values), ts)

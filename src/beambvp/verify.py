@@ -3,8 +3,8 @@
 Each check recomputes one of the quantitative facts the solver relies
 on (kernel sign and envelopes, representation-vs-finite-difference
 agreement, cone inequalities) and reports its worst margin. The
-representation u = integral [G + W] y is the solver's own Green's sum,
-the one behind its operator, interpolate and residuals, taken on random
+representation u = integral [G + W] y is kernel.green_sum, the sum
+behind the solver's operator, interpolate and residuals, taken on random
 cubic loads. The finite-difference oracle solves the same problems without
 the kernel, and each cubic load's closed-form solution checks the sum to
 rounding. The kernel checks call this module's `green` (all but the
@@ -31,10 +31,10 @@ import numpy as np
 
 from .analysis import make_problem
 from .expressions import parse
-from .kernel import ROW_BLOCK, green, kernel_weight, lower_envelope, upper_envelope
+from .kernel import ROW_BLOCK, green, green_sum, kernel_weight, lower_envelope, upper_envelope
 from .oracle import fd_solve_linear
 from .quadrature import default_quadrature, integrate
-from .solver import _green_sum, apply, build_operator, cone_gap, DiscreteFunction
+from .solver import apply, build_operator, cone_gap, DiscreteFunction
 
 # Calibrated against the second-order scheme: worst observed sup-error / h^2
 # is 0.229 over 5 seeds x {t, t^2, 1/2} x 20 quintic forcings x n in
@@ -156,7 +156,7 @@ def _path_checks(rng, q):
         for c in rng.uniform(0.0, 2.0, (5, 4)):
             y = _cubic(c)
             fd = fd_solve_linear(y, a, n)
-            u = _green_sum(a, q, y(q.nodes), fd.nodes)
+            u = green_sum(a, q, y(q.nodes), fd.nodes)
             err = float(np.max(np.abs(fd.values - u)))
             worst = max(worst, err / h**2)
             exact = _cubic_solution(c, power, fd.nodes)
@@ -172,7 +172,7 @@ def _cone_checks(theta, rng, q):
     for a_text in ("t", "t^2"):
         linear = make_problem("0*u", a_text, theta, q)
         for c in rng.uniform(0.0, 2.0, (10, 4)):
-            u = _green_sum(linear.a, q, _cubic(c)(q.nodes), eval_nodes)
+            u = green_sum(linear.a, q, _cubic(c)(q.nodes), eval_nodes)
             gap = float(np.min(u[strip]) - linear.cone.gamma * np.max(np.abs(u)))
             worst_solution = min(worst_solution, gap)
     results = [_floor("solution_cone_floor", worst_solution, -1e-10)]

@@ -16,12 +16,12 @@ from beambvp.analysis import certificate, make_problem
 from beambvp.cli import EXIT_CHECK_FAILED, main
 from beambvp.expressions import parse
 from beambvp.kernel import green
+from beambvp.kernel import green_sum as _green_sum
 from beambvp.oracle import fd_solve_linear, fd_solve_nonlinear
 from beambvp.quadrature import default_quadrature, integrate, integrate_on, make_quadrature
 from beambvp.verify import PATH_EQUIVALENCE_C
 from beambvp.solver import (
     DiscreteFunction,
-    _green_sum,
     apply,
     build_operator,
     cone_gap,

@@ -13,6 +13,7 @@ from beambvp.analysis import (
     validate_hypotheses,
 )
 from beambvp.errors import InvalidConfig
+from beambvp.quadrature import default_quadrature
 
 F_SUPER = "u^2*(exp(-u)+1)"
 F_SUB = "sqrt(1+u)+sin(u)"
@@ -47,6 +48,17 @@ def test_validate_flags_alpha_out_of_window():
     # integral of 2t is exactly 1, which the admissible window excludes
     report = validate_hypotheses(make_problem("u", "2*t"))
     assert [v.code for v in report.violations] == ["alpha-range"]
+
+
+def test_validate_flags_a_not_finite_at_a_node_only():
+    # finite at every point of the 2001-point grid, infinite at the rule's
+    # first node: the cone constants are nan and a is an a-domain violation
+    node = float(default_quadrature().nodes[0])
+    problem = make_problem("u", f"1/(t-{node!r})")
+    assert np.isnan(problem.cone.alpha) and np.isnan(problem.cone.gamma)
+    report = validate_hypotheses(problem)
+    assert [v.code for v in report.violations] == ["a-domain"]
+    assert "quadrature node" in report.violations[0].message
 
 
 def _witness_holds(problem, cert):

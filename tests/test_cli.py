@@ -354,6 +354,19 @@ def test_classify_checks_hypotheses(tmp_path, capsys, f, a):
     assert json.loads((tmp_path / "classify.json").read_text())["hypotheses_ok"] is False
 
 
+@pytest.mark.parametrize("command, artifact", [("solve", "report.json"),
+                                               ("classify", "classify.json")])
+def test_weight_not_finite_at_a_node_exits_hypothesis(tmp_path, capsys, command, artifact):
+    # make_problem integrates a at the rule's nodes before validate_hypotheses
+    # runs; an invalid value there is an a-domain violation, not a usage error
+    code = main([command, "--f", "u^2", "--a", "sqrt(t-0.5)", "--out", str(tmp_path)])
+    assert code == EXIT_HYPOTHESIS
+    out = capsys.readouterr().out
+    assert out == "hypothesis violation: a is not finite on [0, 1]: invalid value encountered in sqrt\n"
+    payload = json.loads((tmp_path / artifact).read_text())
+    assert payload["hypotheses_ok"] is False and len(payload["violations"]) == 1
+
+
 def test_classify_linear_indeterminate(tmp_path):
     assert main(["classify", "--f", "u", "--a", "t", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "classify.json").read_text())

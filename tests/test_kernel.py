@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beambvp
 from beambvp.analysis import make_problem, validate_hypotheses
 from beambvp.errors import HypothesisViolation, InvalidConfig, OutOfDomain
 from beambvp.expressions import parse
@@ -145,6 +149,17 @@ def test_green_out_of_domain():
             lower_envelope(t, 0.5)
 
 
+def test_envelopes_out_of_domain():
+    # both envelopes share green's check, so s off [0, 1] or nan raises too
+    for s in (-0.1, 2.0, np.nan, np.array([0.2, np.nan]), np.array([0.5, 1.5])):
+        with pytest.raises(OutOfDomain):
+            upper_envelope(s)
+        with pytest.raises(OutOfDomain):
+            lower_envelope(0.5, s)
+    with pytest.raises(OutOfDomain):
+        lower_envelope(np.array([0.2, 0.4]), np.array([[0.5], [np.nan]]))
+
+
 def test_lower_envelope_values():
     # rho(t) = min(t^3, t^2(1-t))/6 times s(1-s)^2, which is 1/8 at s = 1/2
     assert lower_envelope(0.0, 0.5) == 0.0
@@ -280,3 +295,25 @@ def test_cone_constants_gates():
     assert "a-negative" in codes("t-1")
     with pytest.raises(InvalidConfig):
         make_problem("u", A_QUAD, 0.6)
+
+
+def test_only_kernel_touches_the_product_weights():
+    # the weights' (moments, panel, kink) format and the sums over them live
+    # in kernel; other modules go through green_sum and nystrom_matrix
+    private = {"product_weights", "_green_part", "_nonlocal_sum"}
+    for path in sorted(Path(beambvp.__file__).parent.glob("*.py")):
+        if path.name == "kernel.py":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            if path.name in ("solver.py", "verify.py") and isinstance(node, ast.ImportFrom):
+                # the sums' callers import no private name from kernel or solver
+                assert node.module not in ("kernel", "solver") or not any(
+                    alias.name.startswith("_") for alias in node.names), path.name
+        assert not names & private, f"{path.name} uses {sorted(names & private)}"

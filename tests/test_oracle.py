@@ -12,7 +12,8 @@ from beambvp.oracle import (
     fd_solve_nonlinear,
 )
 from beambvp.quadrature import default_quadrature, make_quadrature
-from beambvp.solver import _green_sum, solve_auto
+from beambvp.kernel import green_sum as _green_sum
+from beambvp.solver import solve_auto
 from beambvp.verify import PATH_EQUIVALENCE_C
 
 A_ZERO = parse("0*t", "t")

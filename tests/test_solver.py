@@ -6,6 +6,7 @@ from beambvp.analysis import log_grid, make_problem
 from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, OutOfDomain
 from beambvp.expressions import Expression, parse
 from beambvp.kernel import ROW_BLOCK, _nonlocal_sum, green, kernel_weight, product_weights
+from beambvp.kernel import green_sum as _green_sum
 from beambvp.oracle import fd_solve_nonlinear
 from beambvp.quadrature import ADMISSIBLE_POINTS, Quadrature, _composite_gauss, make_quadrature
 from beambvp.solver import (
@@ -19,7 +20,6 @@ from beambvp.solver import (
     picard,
     residuals,
     solve_auto,
-    _green_sum,
 )
 
 F_SUPER = "u^2*(exp(-u)+1)"
@@ -354,8 +354,8 @@ def test_a_block_of_loads_sums_as_its_columns(panels, points):
     t = np.concatenate([rng.uniform(0.0, 1.0, 20), q.nodes])
     weights = product_weights(q, t)
     loads = rng.uniform(0.0, 10.0, (q.npoints, 5))
-    block = solver._green_part(q, t, weights, loads)
-    columns = np.column_stack([solver._green_part(q, t, weights, g) for g in loads.T])
+    block = kernel._green_part(q, t, weights, loads)
+    columns = np.column_stack([kernel._green_part(q, t, weights, g) for g in loads.T])
     assert block.shape == (t.size, 5)
     # one load takes a dot product where a block takes a matrix-vector
     # product, which may sum in another order: measured at most 3.7e-15

@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from beambvp import solver, verify
+from beambvp import kernel, solver, verify
 from beambvp.analysis import make_problem
 from beambvp.expressions import parse
 from beambvp.kernel import (
@@ -187,7 +187,7 @@ def test_a_wrong_product_weight_fails_path_agreement(monkeypatch):
         moments[0, 13] *= 1.01
         return moments, panel, kink
 
-    monkeypatch.setattr(solver, "product_weights", skewed)
+    monkeypatch.setattr(kernel, "product_weights", skewed)
     scorecard = verify.run_checks()
     assert not _check(scorecard, "linear_path_agreement")["passed"]
 
@@ -225,7 +225,7 @@ def test_exact_cubics_catch_weight_faults_that_path_agreement_misses(monkeypatch
     # same weights, so the fault reaches solve as well
     problem = make_problem("u", "t^2")
     clean = solver.build_operator(problem).kmatrix
-    monkeypatch.setattr(solver, "product_weights", fault)
+    monkeypatch.setattr(kernel, "product_weights", fault)
     scorecard = verify.run_checks()
     assert _check(scorecard, "linear_path_agreement")["passed"]
     assert not _check(scorecard, "green_sum_exact_on_cubics")["passed"]
