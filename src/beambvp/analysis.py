@@ -5,13 +5,14 @@ radii: r, where f is small enough that the operator compresses the cone,
 and R, where f is large enough that it expands it. A compression radius
 below an expansion radius is the superlinear case, the reverse is the
 sublinear case; either one guarantees a positive solution between them.
-certificate samples f on a log grid for such a pair, against the sharp
+certificate searches f's sample for such a pair, against the sharp
 thresholds epsilon_max and delta_min that the proof requires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -24,9 +25,8 @@ from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
 # the witness grid: GRID_DENSITY samples per decade on [GRID_LO, GRID_HI]
 GRID_DENSITY = 8
 GRID_LO, GRID_HI = 1e-150, 1e150
-# validate_hypotheses samples f at F_SAMPLES points of [0, F_SAMPLE_MAX]
-F_SAMPLE_MAX = 1e3
-F_SAMPLES = 10_000
+# f's one sample adds F_SAMPLES points of [0, F_SAMPLE_MAX] to it (_f_grid)
+F_SAMPLE_MAX, F_SAMPLES = 1e3, 10_000
 
 
 @dataclass(frozen=True)
@@ -46,23 +46,24 @@ class ConeConstants:
 
 @dataclass(frozen=True)
 class Problem:
-    """A nonlinearity f(u), a boundary weight a(t), a strip parameter
-    theta, the derived cone constants, and the quadrature all integrals
-    use. Immutable after construction."""
+    """A nonlinearity f(u), a boundary weight a(t), a strip parameter theta,
+    the cone constants, the quadrature all integrals use, and f's sample,
+    _finite_samples(f, _f_grid()[0]). Immutable after construction."""
 
     f: Expression
     a: Expression
     theta: float
     cone: ConeConstants
     quad: Quadrature
+    f_sample: tuple = field(repr=False, compare=False)
 
 
 def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -> Problem:
     """Assemble a Problem from expressions or expression text.
 
-    The cone constants are computed here without enforcing the window on
-    alpha, and are nan where a is not finite at a node of the rule, so that
-    validate_hypotheses can report violations as data.
+    The cone constants (not held to alpha's window, nan where a is not
+    finite at a node of the rule) and f's one sample are computed here, for
+    validate_hypotheses to report violations as data and certificate to read.
     """
     if isinstance(f, str):
         f = parse(f, "u")
@@ -76,7 +77,7 @@ def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -
     except DomainError:
         alpha = beta = np.nan
     cone = ConeConstants(alpha, beta, theta**3 * (1.0 - alpha + beta))
-    return Problem(f, a, theta, cone, quad)
+    return Problem(f, a, theta, cone, quad, _finite_samples(f, _f_grid()[0]))
 
 
 @dataclass(frozen=True)
@@ -98,21 +99,20 @@ class ValidationReport:
 def validate_hypotheses(problem: Problem) -> ValidationReport:
     """Sample-based admissibility check.
 
-    Continuity cannot be tested numerically; dense sampling of f on
-    [0, F_SAMPLE_MAX] and of a on [0, 1] is the testable surrogate. An
-    overflow of f ends its sampled range, since f may be continuous past
-    the float range; an invalid operation or a division by zero is a
-    violation. Violations are returned as data, never raised.
+    Continuity cannot be tested numerically; f's sample on _f_grid and a
+    dense sample of a on [0, 1] are the testable surrogate. An overflow of
+    f ends its sampled range, since f may be continuous past the float
+    range; an invalid operation, a division by zero and f < 0 (at its
+    smallest u) are violations, returned as data, never raised.
     """
     found = []
-    grid = np.linspace(0.0, F_SAMPLE_MAX, F_SAMPLES)
-    us, fv, failure = _finite_samples(problem.f, grid)
+    us, fv, failure = problem.f_sample
     if failure is not None and not isinstance(failure, Overflow):
-        at = float(grid[us.size])
+        at = float(_f_grid()[0][us.size])
         found.append(Violation("f-domain", f"f is not finite at u = {at}: {failure}", at))
     if np.any(fv < 0.0):
-        at = float(us[int(np.argmin(fv))])
-        found.append(Violation("f-negative", f"f({at}) = {float(np.min(fv))} < 0", at))
+        i = int(np.argmax(fv < 0.0))
+        found.append(Violation("f-negative", f"f({us.item(i)}) = {fv.item(i)} < 0", us.item(i)))
     ts = np.linspace(0.0, 1.0, 2001)
     try:
         av = np.asarray(problem.a(ts))
@@ -187,9 +187,9 @@ def log_grid(lo: float, hi: float) -> np.ndarray:
 def certificate(problem: Problem) -> Certificate:
     """Evaluate the sharp proof thresholds and search for a witness pair.
 
-    f is sampled once on log_grid(GRID_LO, GRID_HI), cut to the longest
-    prefix on which it is finite. The pair is the lowest annulus on the
-    grid: the largest compression radius below the first expansion radius,
+    The search runs on the log_grid(GRID_LO, GRID_HI) points of f's sample,
+    which ends where f stops being finite. The pair is the lowest annulus on
+    the grid: the largest compression radius below the first expansion radius,
     or the largest expansion radius below the first compression radius.
     Raises HypothesisViolation unless 0 <= alpha < 1, as build_operator does.
     """
@@ -198,7 +198,8 @@ def certificate(problem: Problem) -> Certificate:
     epsilon_max = 6.0 * (1.0 - cone.alpha)
     shell = (1.0 - 2.0 * theta) * (0.5 + theta - theta**2)
     delta_min = 36.0 * (1.0 - cone.alpha) / (cone.gamma**2 * shell)
-    us, fu, _ = _finite_samples(problem.f, log_grid(GRID_LO, GRID_HI))
+    on_log = _f_grid()[1][:problem.f_sample[0].size]
+    us, fu = problem.f_sample[0][on_log], problem.f_sample[1][on_log]
     compress = np.flatnonzero(np.maximum.accumulate(fu) <= epsilon_max * us)
     # samples k - width .. k cover [gamma u_k, u_k]; count failures in that window
     width = int(np.ceil(GRID_DENSITY * np.log10(1.0 / cone.gamma)))
@@ -214,6 +215,17 @@ def certificate(problem: Problem) -> Certificate:
         r, R = float(us[i]), float(us[j])
     top = float(us[-1]) if us.size else None
     return Certificate(label, epsilon_max, delta_min, r, R, top)
+
+
+@lru_cache(maxsize=None)
+def _f_grid() -> tuple:
+    """log_grid(GRID_LO, GRID_HI) and F_SAMPLES points of [0, F_SAMPLE_MAX],
+    sorted into one grid, and the mask of its log-grid points; both read-only."""
+    grid = np.concatenate((np.linspace(0.0, F_SAMPLE_MAX, F_SAMPLES), log_grid(GRID_LO, GRID_HI)))
+    order = np.argsort(grid, kind="stable")
+    grid, on_log = grid[order], order >= F_SAMPLES
+    grid.flags.writeable = on_log.flags.writeable = False
+    return grid, on_log
 
 
 def _finite_samples(f: Expression, us: np.ndarray) -> tuple:

@@ -243,8 +243,17 @@ def _base_payload(cfg, problem):
 
 def _write_json(path, payload) -> None:
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(_finite(payload), handle, indent=2, allow_nan=False)
         handle.write("\n")
+
+
+def _finite(value):
+    """value with every float that is not finite as None: JSON has no nan."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return None if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def _write_csv(path, header, blocks) -> None:

@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import beambvp
 from beambvp.analysis import (
     GRID_DENSITY,
     INDETERMINATE,
@@ -59,6 +62,42 @@ def test_validate_flags_a_not_finite_at_a_node_only():
     report = validate_hypotheses(problem)
     assert [v.code for v in report.violations] == ["a-domain"]
     assert "quadrature node" in report.violations[0].message
+
+
+@pytest.mark.parametrize("f, code, where", [
+    # past the linear points: the smallest u where f < 0, not the argmin,
+    # which lies at the top of the sample
+    ("u^2*(1-u/1e4)", "f-negative", 10**4.125),
+    ("sqrt(1e4-u)", "f-domain", 10**4.125),
+    # below 0 on (2.4, 2.6), between the log-grid points 10^0.375 and 10^0.5:
+    # only a linear point sees it
+    ("(u-2.5)^2-0.01", "f-negative", 24 * 1e3 / 9999),
+])
+def test_validate_flags_f_on_its_whole_sample(f, code, where):
+    report = validate_hypotheses(make_problem(f, "t"))
+    assert [v.code for v in report.violations] == [code]
+    assert report.violations[0].where == pytest.approx(where, rel=1e-12)
+
+
+def _calls(tree, name):
+    """The calls of name, or of any attribute so named, within tree."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_only_make_problem_samples_f():
+    # validate_hypotheses and certificate read the sample that make_problem
+    # keeps on the Problem: neither reads problem.f, and nothing else samples
+    package = Path(beambvp.__file__).parent
+    samples = [call for path in sorted(package.glob("*.py"))
+               for call in _calls(ast.parse(path.read_text()), "_finite_samples")]
+    analysis = ast.parse((package / "analysis.py").read_text())
+    functions = {node.name: node for node in ast.walk(analysis)
+                 if isinstance(node, ast.FunctionDef)}
+    assert len(samples) == 1 and len(_calls(functions["make_problem"], "_finite_samples")) == 1
+    for name in ("validate_hypotheses", "certificate"):
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "f"
+                       for node in ast.walk(functions[name])), name
 
 
 def _witness_holds(problem, cert):
@@ -199,3 +238,21 @@ def test_classification_scale_invariance(scale, f_text, expected):
     assert cert.classification == expected
     assert _witness_holds(p, cert)
 
+
+# the witness search on the log-grid points of f's one sample gives what it
+# gave on the log grid sampled alone, bit for bit: README's examples and the
+# first seed-1 input of each benchmark solve family
+@pytest.mark.parametrize("f, a, label, r, R, top", [
+    ("u^1.2", "t", SUPERLINEAR, 237.13737056616552, 1e30, 1e150),
+    ("exp(u)", "t", SUBLINEAR, 0.7498942093324558, 2.3713737056616552e-06, 562.341325190349),
+    ("u", "t", INDETERMINATE, None, None, 1e150),
+    ("u^2/(1e7+u)", "t", INDETERMINATE, None, None, 1e150),
+    ("u*log(1+u)", "t", INDETERMINATE, None, None, 1e150),
+    ("0.675486*u^2*(exp(-u)+1)", "0.471473*t^1", SUPERLINEAR,
+     5.62341325190349, 56234132.51903491, 1e150),
+    ("2.88959*(sqrt(1+u)+sin(u))", "1.78424*t^2", SUBLINEAR,
+     3.1622776601683795, 5.623413251903491e-06, 1e150),
+])
+def test_certificate_is_pinned(f, a, label, r, R, top):
+    cert = certificate(make_problem(f, a, 0.25))
+    assert (cert.classification, cert.r, cert.R, cert.top) == (label, r, R, top)

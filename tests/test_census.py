@@ -4,8 +4,9 @@ Each family draws DRAWS problems from a fixed seed: f from the family, and
 a = c t^k with k in {1, 2, 3} and alpha = c / (k + 1) in (0.1, 0.8). Every
 draw is solved by solve_auto on the default rule and sorted by its
 certificate label and its outcome. The test pins today's counts as floors:
-a change may move draws toward "solved", never away. Run this file as a
-script to print the table that README's Accuracy section shows.
+a change may move draws toward "solved", never away.
+`PYTHONPATH=src python tests/test_census.py` prints the table that README's
+Accuracy section shows.
 """
 
 from collections import Counter

@@ -19,6 +19,7 @@ from beambvp.cli import (
 )
 from beambvp.config import RunConfig
 from beambvp.errors import InvalidConfig
+from beambvp.expressions import Expression
 from beambvp.kernel import green
 from beambvp.quadrature import make_quadrature
 
@@ -324,6 +325,75 @@ def test_solve_f_outside_its_domain_exits_hypothesis(tmp_path, capsys, f):
     # an invalid operation or a division by zero before any overflow
     assert main(["solve", "--f", f, "--a", "t", "--out", str(tmp_path)]) == EXIT_HYPOTHESIS
     assert capsys.readouterr().out.startswith("hypothesis violation: f is not finite at u = ")
+
+
+@pytest.mark.parametrize("command, artifact", [("solve", "report.json"),
+                                               ("classify", "classify.json")])
+@pytest.mark.parametrize("f", [
+    # negative from 1.33e4 up, and not finite above 1e4: past the linear points
+    "u^2*(1-u/1e4)", "sqrt(1e4-u)",
+    # negative only between log-grid points, where the linear points catch it
+    "(u-2.5)^2-0.01",
+])
+def test_f_is_checked_on_its_whole_sample(tmp_path, capsys, command, artifact, f):
+    assert main([command, "--f", f, "--a", "t", "--out", str(tmp_path)]) == EXIT_HYPOTHESIS
+    out = capsys.readouterr().out
+    assert out.startswith("hypothesis violation: ") and out.count("\n") == 1
+    payload = json.loads((tmp_path / artifact).read_text())
+    assert payload["hypotheses_ok"] is False
+    assert payload["violations"] == [out.removeprefix("hypothesis violation: ").rstrip("\n")]
+
+
+def test_classify_evaluates_f_once(tmp_path, monkeypatch):
+    # make_problem samples f once, on the linear and the log grid merged;
+    # validate_hypotheses and certificate both read that sample
+    sizes, call = [], Expression.__call__
+
+    def counted(self, x):
+        if self.var_name == "u":
+            sizes.append(np.size(x))
+        return call(self, x)
+
+    monkeypatch.setattr(Expression, "__call__", counted)
+    assert main(["classify", "--f", F_SUPER, "--a", "t^2", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(sizes) == 1 and sizes[0] >= 2401
+
+
+def _strict_json(path):
+    """path's JSON, read as RFC 8259 reads it: NaN and Infinity raise."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_artifacts_are_strict_json(tmp_path, monkeypatch):
+    # a weight that is not finite at a node of the rule leaves the cone
+    # constants nan, and a nan kernel point leaves verify's margins nan
+    for command, artifact in (("solve", "report.json"), ("classify", "classify.json")):
+        out = tmp_path / command
+        code = main([command, "--f", "u^2", "--a", "sqrt(t-0.5)", "--out", str(out)])
+        assert code == EXIT_HYPOTHESIS
+        payload = _strict_json(out / artifact)
+        assert [payload[key] for key in ("alpha", "beta", "gamma")] == [None, None, None]
+
+    def corrupted(t, s, **buffers):
+        return green(t, s, **buffers) + np.where(np.asarray(t) > 0.96, np.nan, 0.0)
+
+    monkeypatch.setattr(verify, "green", corrupted)
+    assert main(["verify", "--out", str(tmp_path / "verify")]) == EXIT_CHECK_FAILED
+    scorecard = _strict_json(tmp_path / "verify" / "verify.json")
+    assert None in [check["margin"] for check in scorecard["checks"]]
+
+
+def test_json_writer_writes_non_finite_numbers_as_null(tmp_path):
+    # a diverged report's error_estimate is inf; finite numbers keep their bytes
+    cli._write_json(tmp_path / "out.json", {
+        "error_estimate": np.inf, "ok": True,
+        "margins": [np.float64(0.1), -np.inf, (np.nan, 1e-300, 3)],
+    })
+    assert (tmp_path / "out.json").read_text() == json.dumps({
+        "error_estimate": None, "ok": True, "margins": [0.1, None, [None, 1e-300, 3]],
+    }, indent=2) + "\n"
 
 
 def test_missing_expression_exits_usage(tmp_path):
