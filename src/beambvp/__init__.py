@@ -12,15 +12,7 @@ finite-difference path and a set of kernel-bound property checks guard
 the implementation.
 """
 
-from .analysis import (
-    Certificate,
-    ConeConstants,
-    Problem,
-    ValidationReport,
-    certificate,
-    make_problem,
-    validate_hypotheses,
-)
+from .analysis import Certificate, ConeConstants, Problem, make_problem
 from .config import RunConfig
 from .errors import (
     BeamBVPError,
@@ -67,14 +59,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BeamBVPError", "Certificate", "ConeConstants", "DiscreteFunction",
-    "DomainError", "Expression", "HypothesisViolation",
-    "InvalidConfig", "InvalidRange", "NystromOperator", "OutOfDomain",
-    "Overflow", "ParseError", "Problem", "Quadrature", "RunConfig", "SingularJacobian",
-    "SingularSystem", "SolveReport", "ValidationReport", "apply",
-    "build_operator", "certificate", "default_quadrature",
-    "fd_solve_linear", "fd_solve_nonlinear", "green", "integrate", "integrate_on",
-    "interpolate", "kernel_weight", "lower_envelope", "make_problem",
-    "make_quadrature", "newton", "parse", "picard", "residuals",
+    "DomainError", "Expression", "HypothesisViolation", "InvalidConfig",
+    "InvalidRange", "NystromOperator", "OutOfDomain", "Overflow", "ParseError",
+    "Problem", "Quadrature", "RunConfig", "SingularJacobian", "SingularSystem",
+    "SolveReport", "apply", "build_operator", "default_quadrature",
+    "fd_solve_linear", "fd_solve_nonlinear", "green", "integrate",
+    "integrate_on", "interpolate", "kernel_weight", "lower_envelope",
+    "make_problem", "make_quadrature", "newton", "parse", "picard", "residuals",
     "run_checks", "solve_auto", "upper_envelope",
-    "validate_hypotheses",
 ]

@@ -5,19 +5,19 @@ radii: r, where f is small enough that the operator compresses the cone,
 and R, where f is large enough that it expands it. A compression radius
 below an expansion radius is the superlinear case, the reverse is the
 sublinear case; either one guarantees a positive solution between them.
-certificate searches f's sample for such a pair, against the sharp
-thresholds epsilon_max and delta_min that the proof requires.
+make_problem searches f's sample for such a pair (the certificate), against
+the sharp thresholds epsilon_max and delta_min that the proof requires.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InvalidConfig, Overflow
+from .errors import DomainError, HypothesisViolation, InvalidConfig, Overflow
 from .expressions import Expression, parse
 from .kernel import ALPHA_MARGIN, _check_alpha
 from .quadrature import Quadrature, default_quadrature, integrate, integrate_on
@@ -45,25 +45,36 @@ class ConeConstants:
 
 
 @dataclass(frozen=True)
+class Violation:
+    code: str
+    message: str
+    where: float
+
+
+@dataclass(frozen=True)
 class Problem:
     """A nonlinearity f(u), a boundary weight a(t), a strip parameter theta,
-    the cone constants, the quadrature all integrals use, and f's sample,
-    _finite_samples(f, _f_grid()[0]). Immutable after construction."""
+    the cone constants, the quadrature all integrals use, and what
+    make_problem derives from them: the hypothesis violations (empty when
+    f and a meet the hypotheses) and the certificate (None where its
+    thresholds are undefined). Immutable after construction."""
 
     f: Expression
     a: Expression
     theta: float
     cone: ConeConstants
     quad: Quadrature
-    f_sample: tuple = field(repr=False, compare=False)
+    violations: tuple
+    certificate: Optional[Certificate]
 
 
 def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -> Problem:
     """Assemble a Problem from expressions or expression text.
 
     The cone constants (not held to alpha's window, nan where a is not
-    finite at a node of the rule) and f's one sample are computed here, for
-    validate_hypotheses to report violations as data and certificate to read.
+    finite at a node of the rule), f's one sample on _f_grid, and from them
+    the violations, as data, and the certificate are computed here, once.
+    A problem without a certificate always has a violation.
     """
     if isinstance(f, str):
         f = parse(f, "u")
@@ -77,46 +88,33 @@ def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -
     except DomainError:
         alpha = beta = np.nan
     cone = ConeConstants(alpha, beta, theta**3 * (1.0 - alpha + beta))
-    return Problem(f, a, theta, cone, quad, _finite_samples(f, _f_grid()[0]))
+    us, fu, failure = _finite_samples(f, _f_grid()[0])
+    on_log = _f_grid()[1][:us.size]
+    cert = _certificate(cone, theta, us[on_log], fu[on_log])
+    found = _violations(us, fu, failure, a, cone.alpha)
+    if cert is None and not found:
+        message = f"gamma = {cone.gamma} at theta = {theta} leaves delta_min undefined"
+        found.append(Violation("gamma-range", message, cone.gamma))
+    return Problem(f, a, theta, cone, quad, tuple(found), cert)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    where: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_hypotheses(problem: Problem) -> ValidationReport:
-    """Sample-based admissibility check.
-
-    Continuity cannot be tested numerically; f's sample on _f_grid and a
-    dense sample of a on [0, 1] are the testable surrogate. An overflow of
-    f ends its sampled range, since f may be continuous past the float
-    range; an invalid operation, a division by zero and f < 0 (at its
-    smallest u) are violations, returned as data, never raised.
-    """
+def _violations(us, fu, failure, a, alpha) -> list:
+    """The violations that f's sample and a dense sample of a on [0, 1] show,
+    the testable surrogate of the hypotheses (continuity cannot be tested).
+    An overflow ends f's sampled range, since f may be continuous past the
+    float range; an invalid operation, a division by zero and f < 0 (at its
+    smallest u) are violations."""
     found = []
-    us, fv, failure = problem.f_sample
     if failure is not None and not isinstance(failure, Overflow):
         at = float(_f_grid()[0][us.size])
         found.append(Violation("f-domain", f"f is not finite at u = {at}: {failure}", at))
-    if np.any(fv < 0.0):
-        i = int(np.argmax(fv < 0.0))
-        found.append(Violation("f-negative", f"f({us.item(i)}) = {fv.item(i)} < 0", us.item(i)))
+    if np.any(fu < 0.0):
+        i = int(np.argmax(fu < 0.0))
+        found.append(Violation("f-negative", f"f({us.item(i)}) = {fu.item(i)} < 0", us.item(i)))
     ts = np.linspace(0.0, 1.0, 2001)
     try:
-        av = np.asarray(problem.a(ts))
-        if np.isnan(problem.cone.alpha):
+        av = np.asarray(a(ts))
+        if np.isnan(alpha):
             # make_problem met a not finite at a node of the rule, off this grid
             raise DomainError("not finite at a quadrature node")
         if np.any(av < 0.0):
@@ -124,14 +122,10 @@ def validate_hypotheses(problem: Problem) -> ValidationReport:
             found.append(Violation("a-negative", f"a({at}) = {float(np.min(av))} < 0", at))
     except DomainError as exc:
         found.append(Violation("a-domain", f"a is not finite on [0, 1]: {exc}", np.nan))
-    alpha = problem.cone.alpha
     if not np.isnan(alpha) and not ALPHA_MARGIN < alpha < 1.0 - ALPHA_MARGIN:
-        found.append(Violation(
-            "alpha-range",
-            f"integral of a is {alpha}, outside the admissible window (0, 1)",
-            alpha,
-        ))
-    return ValidationReport(tuple(found))
+        message = f"integral of a is {alpha}, outside the admissible window (0, 1)"
+        found.append(Violation("alpha-range", message, alpha))
+    return found
 
 
 SUPERLINEAR = "superlinear"
@@ -184,26 +178,31 @@ def log_grid(lo: float, hi: float) -> np.ndarray:
     return np.geomspace(lo, hi, int(round(GRID_DENSITY * np.log10(hi / lo))) + 1)
 
 
-def certificate(problem: Problem) -> Certificate:
+def _certificate(cone: ConeConstants, theta: float, us, fu) -> Optional[Certificate]:
     """Evaluate the sharp proof thresholds and search for a witness pair.
 
-    The search runs on the log_grid(GRID_LO, GRID_HI) points of f's sample,
-    which ends where f stops being finite. The pair is the lowest annulus on
-    the grid: the largest compression radius below the first expansion radius,
+    us and fu are the log_grid(GRID_LO, GRID_HI) points of f's sample, which
+    ends where f stops being finite. The pair is the lowest annulus on the
+    grid: the largest compression radius below the first expansion radius,
     or the largest expansion radius below the first compression radius.
-    Raises HypothesisViolation unless 0 <= alpha < 1, as build_operator does.
+    None where the thresholds are undefined: alpha outside [0, 1) (as
+    build_operator requires), gamma <= 0, or delta_min not finite.
     """
-    cone, theta = problem.cone, problem.theta
-    _check_alpha(cone.alpha)
-    epsilon_max = 6.0 * (1.0 - cone.alpha)
+    try:
+        epsilon_max = 6.0 * (1.0 - _check_alpha(cone.alpha))
+    except HypothesisViolation:
+        return None
     shell = (1.0 - 2.0 * theta) * (0.5 + theta - theta**2)
-    delta_min = 36.0 * (1.0 - cone.alpha) / (cone.gamma**2 * shell)
-    on_log = _f_grid()[1][:problem.f_sample[0].size]
-    us, fu = problem.f_sample[0][on_log], problem.f_sample[1][on_log]
+    with np.errstate(over="ignore", divide="ignore"):
+        # delta_min is inf below theta ~ 1e-51; above it, delta_min u may overflow
+        delta_min = float(np.divide(36.0 * (1.0 - cone.alpha), cone.gamma**2 * shell))
+        if not (cone.gamma > 0.0 and np.isfinite(delta_min)):
+            return None
+        short = fu < delta_min * us
     compress = np.flatnonzero(np.maximum.accumulate(fu) <= epsilon_max * us)
     # samples k - width .. k cover [gamma u_k, u_k]; count failures in that window
     width = int(np.ceil(GRID_DENSITY * np.log10(1.0 / cone.gamma)))
-    failures = np.concatenate(([0], np.cumsum(fu < delta_min * us)))
+    failures = np.concatenate(([0], np.cumsum(short)))
     ks = np.arange(width, us.size)
     expand = ks[failures[ks + 1] == failures[ks - width]]
     label, r, R = INDETERMINATE, None, None

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import certificate, make_problem, validate_hypotheses
+from .analysis import make_problem
 from .config import RunConfig
 from .errors import BeamBVPError, HypothesisViolation, InvalidConfig
 from .expressions import parse
@@ -118,14 +118,13 @@ def _problem(cfg, artifact):
         raise InvalidConfig("f(u) and a(t) expressions are required (--f, --a or config)")
     quad = make_quadrature(cfg.panels, cfg.points)
     problem = make_problem(cfg.f_text, cfg.a_text, cfg.theta, quad)
-    validation = validate_hypotheses(problem)
-    if validation.ok:
+    if not problem.violations:
         return problem
     payload = {**_base_payload(cfg, problem), "hypotheses_ok": False,
-               "violations": [v.message for v in validation.violations]}
+               "violations": [v.message for v in problem.violations]}
     if cfg.write_json:
         _write_json(_outdir(cfg) / artifact, payload)
-    for violation in validation.violations:
+    for violation in problem.violations:
         print(f"hypothesis violation: {violation.message}")
     raise HypothesisViolation("f or a violates the hypotheses of the existence theorem")
 
@@ -146,8 +145,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         "error_estimate": report.error_estimate,
         "in_cone": report.in_cone,
         "sup_norm": report.solution.sup_norm(),
-        "r": report.operator.certificate.r,
-        "R": report.operator.certificate.R,
+        "r": problem.certificate.r,
+        "R": problem.certificate.R,
         "in_annulus": report.in_annulus,
     })
     if cfg.write_json:
@@ -168,9 +167,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    problem = _problem(cfg, "classify.json")
+    # the directory first, so that a bad --out fails before f is sampled
     out = _outdir(cfg) if cfg.write_json else None
-    cert = certificate(problem)
+    problem = _problem(cfg, "classify.json")
+    cert = problem.certificate
     payload = _base_payload(cfg, problem)
     payload.update({
         "classification": cert.classification,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Certificate, Problem, certificate, log_grid
-from .errors import DomainError, InvalidConfig, SingularJacobian
+from .analysis import Problem, log_grid
+from .errors import DomainError, HypothesisViolation, InvalidConfig, SingularJacobian
 from .kernel import ROW_BLOCK, green_sum, nystrom_matrix
 from .quadrature import Quadrature, make_quadrature
 
@@ -59,14 +59,12 @@ class DiscreteFunction:
 
 @dataclass
 class NystromOperator:
-    """Dense collocation matrix K of build_operator, and the
-    problem's certificate, whose radii bracket the Newton starts and set
-    the overflow guard."""
+    """Dense collocation matrix K of build_operator; the problem's
+    certificate brackets the Newton starts and sets the overflow guard."""
 
     quad: Quadrature
     kmatrix: np.ndarray
     problem: Problem
-    certificate: Certificate
 
 
 @dataclass
@@ -90,14 +88,18 @@ class SolveReport:
     def in_annulus(self) -> bool:
         """The solution's sup norm lies between the certificate's witness
         radii, where the existence proof puts a fixed point."""
-        cert = self.operator.certificate
+        cert = self.operator.problem.certificate
         return cert.r is not None and cert.span[0] <= self.solution.sup_norm() <= cert.span[1]
 
 
 def build_operator(problem: Problem) -> NystromOperator:
-    """kernel.nystrom_matrix on the problem's rule, with its certificate."""
+    """kernel.nystrom_matrix on the problem's rule. Raises HypothesisViolation
+    for alpha outside [0, 1) and for a problem without a certificate."""
     q = problem.quad
-    return NystromOperator(q, nystrom_matrix(problem.a, q), problem, certificate(problem))
+    kmatrix = nystrom_matrix(problem.a, q)
+    if problem.certificate is None:
+        raise HypothesisViolation(f"no certificate: gamma = {problem.cone.gamma}")
+    return NystromOperator(q, kmatrix, problem)
 
 
 def apply(op: NystromOperator, u: DiscreteFunction) -> DiscreteFunction:
@@ -204,7 +206,8 @@ def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> Sol
     attempt if none converged; only that report gets an error_estimate.
     No positive solution found, however the attempts end, is a report. An
     invalid problem raises: HypothesisViolation (build_operator, alpha
-    outside [0, 1)) or SingularJacobian (newton, a failed linear solve).
+    outside [0, 1), gamma <= 0 or delta_min not finite) or SingularJacobian
+    (newton, a failed linear solve).
     """
     op = build_operator(problem)
 
@@ -245,7 +248,7 @@ def _cone_starts(op: NystromOperator) -> list:
     Each sign change gives a start at its log-linear root; without one, the
     start is the c of least |log rho|.
     """
-    span = op.certificate.span
+    span = op.problem.certificate.span
     if span is None:
         return []
     kmat, f = op.kmatrix, op.problem.f
@@ -273,7 +276,7 @@ def _scale(op: NystromOperator) -> float:
     """The solution scale s: the lower end of the witness annulus, or 1
     without a witness. The absolute floors of the stopping rule and of
     positivity are fractions of s, so they scale with f as the solution does."""
-    cert = op.certificate
+    cert = op.problem.certificate
     return cert.span[0] if cert.r is not None else 1.0
 
 
@@ -284,7 +287,7 @@ def _within_tol(fp: float, u: np.ndarray, tol: float, scale: float) -> bool:
 
 
 def _overflow_guard(op: NystromOperator) -> float:
-    span = op.certificate.span
+    span = op.problem.certificate.span
     return OVERFLOW_GUARD * max(1.0, span[1] if span else 0.0)
 
 

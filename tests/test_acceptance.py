@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from beambvp import verify
-from beambvp.analysis import certificate, make_problem
+from beambvp.analysis import make_problem
 from beambvp.cli import EXIT_CHECK_FAILED, main
 from beambvp.expressions import parse
 from beambvp.kernel import green
@@ -174,7 +174,7 @@ def test_criterion_5_superlinear_example():
     agreement = float(np.max(np.abs(
         fd.values - interpolate(report.solution, problem, fd.nodes))))
     error = extrapolated_fd_gap(problem, report, report.solution, 2001)
-    label = certificate(problem).classification
+    label = problem.certificate.classification
     elapsed = time.perf_counter() - start
 
     ok = (report.converged and report.solution.sup_norm() >= 1e-6
@@ -201,7 +201,7 @@ def test_criterion_6_sublinear_example():
     agreement = float(np.max(np.abs(
         fd.values - interpolate(report.solution, problem, fd.nodes))))
     error = extrapolated_fd_gap(problem, report, ones, 1001)
-    label = certificate(problem).classification
+    label = problem.certificate.classification
 
     op = build_operator(problem)
     plain_picard = picard(op, constant_start(op, 1.0), omega=1.0, tol=1e-10,
@@ -225,7 +225,7 @@ def test_criterion_6_sublinear_example():
 
 def test_criterion_7_certificate_arithmetic():
     problem = make_problem(F_SUPER, "t^2", 0.25)
-    cert = certificate(problem)
+    cert = problem.certificate
     eps_gap = abs(cert.epsilon_max - 4.0)
 
     theta, al, be = 0.25, problem.cone.alpha, problem.cone.beta

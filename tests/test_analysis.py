@@ -11,9 +11,7 @@ from beambvp.analysis import (
     INDETERMINATE,
     SUBLINEAR,
     SUPERLINEAR,
-    certificate,
     make_problem,
-    validate_hypotheses,
 )
 from beambvp.errors import InvalidConfig
 from beambvp.quadrature import default_quadrature
@@ -32,25 +30,25 @@ def test_make_problem_carries_cone_constants():
 
 
 def test_validate_passes_both_examples():
-    assert validate_hypotheses(make_problem(F_SUPER, "t^2")).ok
-    assert validate_hypotheses(make_problem(F_SUB, "t")).ok
+    assert not make_problem(F_SUPER, "t^2").violations
+    assert not make_problem(F_SUB, "t").violations
 
 
 def test_validate_flags_negative_f():
-    report = validate_hypotheses(make_problem("u-1", "t"))
-    assert [v.code for v in report.violations] == ["f-negative"]
-    assert report.violations[0].where == pytest.approx(0.0)
+    violations = make_problem("u-1", "t").violations
+    assert [v.code for v in violations] == ["f-negative"]
+    assert violations[0].where == pytest.approx(0.0)
 
 
 def test_validate_flags_negative_a():
-    report = validate_hypotheses(make_problem("u", "t-0.5"))
-    assert "a-negative" in [v.code for v in report.violations]
+    violations = make_problem("u", "t-0.5").violations
+    assert "a-negative" in [v.code for v in violations]
 
 
 def test_validate_flags_alpha_out_of_window():
     # integral of 2t is exactly 1, which the admissible window excludes
-    report = validate_hypotheses(make_problem("u", "2*t"))
-    assert [v.code for v in report.violations] == ["alpha-range"]
+    violations = make_problem("u", "2*t").violations
+    assert [v.code for v in violations] == ["alpha-range"]
 
 
 def test_validate_flags_a_not_finite_at_a_node_only():
@@ -59,9 +57,8 @@ def test_validate_flags_a_not_finite_at_a_node_only():
     node = float(default_quadrature().nodes[0])
     problem = make_problem("u", f"1/(t-{node!r})")
     assert np.isnan(problem.cone.alpha) and np.isnan(problem.cone.gamma)
-    report = validate_hypotheses(problem)
-    assert [v.code for v in report.violations] == ["a-domain"]
-    assert "quadrature node" in report.violations[0].message
+    assert [v.code for v in problem.violations] == ["a-domain"]
+    assert "quadrature node" in problem.violations[0].message
 
 
 @pytest.mark.parametrize("f, code, where", [
@@ -74,9 +71,9 @@ def test_validate_flags_a_not_finite_at_a_node_only():
     ("(u-2.5)^2-0.01", "f-negative", 24 * 1e3 / 9999),
 ])
 def test_validate_flags_f_on_its_whole_sample(f, code, where):
-    report = validate_hypotheses(make_problem(f, "t"))
-    assert [v.code for v in report.violations] == [code]
-    assert report.violations[0].where == pytest.approx(where, rel=1e-12)
+    violations = make_problem(f, "t").violations
+    assert [v.code for v in violations] == [code]
+    assert violations[0].where == pytest.approx(where, rel=1e-12)
 
 
 def _calls(tree, name):
@@ -86,18 +83,57 @@ def _calls(tree, name):
 
 
 def test_only_make_problem_samples_f():
-    # validate_hypotheses and certificate read the sample that make_problem
-    # keeps on the Problem: neither reads problem.f, and nothing else samples
+    # make_problem samples f once and derives the violations and the
+    # certificate from that sample: nothing else samples f or searches for a
+    # witness, the two readers take arrays, not problem.f, and only analysis
+    # builds a Certificate
     package = Path(beambvp.__file__).parent
-    samples = [call for path in sorted(package.glob("*.py"))
-               for call in _calls(ast.parse(path.read_text()), "_finite_samples")]
-    analysis = ast.parse((package / "analysis.py").read_text())
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    analysis = trees["analysis.py"]
     functions = {node.name: node for node in ast.walk(analysis)
                  if isinstance(node, ast.FunctionDef)}
-    assert len(samples) == 1 and len(_calls(functions["make_problem"], "_finite_samples")) == 1
-    for name in ("validate_hypotheses", "certificate"):
+    for name in ("_finite_samples", "_certificate"):
+        calls = [call for tree in trees.values() for call in _calls(tree, name)]
+        assert len(calls) == 1 and len(_calls(functions["make_problem"], name)) == 1, name
+    for name in ("_violations", "_certificate"):
         assert not any(isinstance(node, ast.Attribute) and node.attr == "f"
                        for node in ast.walk(functions[name])), name
+    builders = [module for module, tree in trees.items() if _calls(tree, "Certificate")]
+    assert builders == ["analysis.py"]
+    for gone in ("validate_hypotheses", "ValidationReport", "f_sample"):
+        assert not [module for module, source in sources.items() if gone in source], gone
+
+
+# every way the certificate's thresholds can be undefined: alpha at and
+# beyond both edges of its window, a nan alpha, gamma <= 0 (a weight whose
+# strip integral is negative), and theta so small that delta_min overflows
+# (1e-60, where gamma^2 underflows to 0) or nearly does (1e-50)
+@pytest.mark.parametrize("theta", [1e-60, 1e-50, 0.25, 0.495])
+@pytest.mark.parametrize("a", ["t", "2*t", "1.9999999999999*t", "3*t", "0*t", "-t",
+                               "sqrt(t-0.5)", "40*(t-0.5)^2-2.9"])
+def test_a_problem_without_a_certificate_has_a_violation(a, theta):
+    for f in ("u^2", F_SUB):
+        problem = make_problem(f, a, theta)
+        assert problem.certificate is not None or problem.violations, (f, a, theta)
+
+
+def test_certificate_is_none_where_its_thresholds_are_undefined():
+    # gamma = 1e-162 at theta = 1e-54: gamma^2 underflows and delta_min is
+    # undefined, which only the gamma-range violation reports
+    problem = make_problem("u^2", "t", 1e-54)
+    assert problem.certificate is None
+    assert [v.code for v in problem.violations] == ["gamma-range"]
+    # delta_min = 3.6e301 is finite at theta = 1e-50; delta_min u overflows
+    # on the grid without a warning, and no radius expands
+    cert = make_problem("u^2", "t", 1e-50).certificate
+    assert cert.classification == INDETERMINATE and cert.delta_min == pytest.approx(3.6e301)
+    # gamma = -0.0073 < 0, reported as a negative weight
+    problem = make_problem("u^2", "40*(t-0.5)^2-2.9")
+    assert problem.cone.gamma < 0.0 and problem.certificate is None
+    assert [v.code for v in problem.violations] == ["a-negative"]
+    for a in ("2*t", "3*t", "-t", "sqrt(t-0.5)"):
+        assert make_problem("u^2", a).certificate is None, a
 
 
 def _witness_holds(problem, cert):
@@ -111,14 +147,14 @@ def _witness_holds(problem, cert):
 
 def test_growth_limits_superlinear_example():
     p = make_problem(F_SUPER, "t^2", 0.25)
-    cert = certificate(p)
+    cert = p.certificate
     assert cert.r < cert.R
     assert _witness_holds(p, cert)
 
 
 def test_growth_limits_sublinear_example():
     p = make_problem(F_SUB, "t", 0.25)
-    cert = certificate(p)
+    cert = p.certificate
     assert cert.R < cert.r
     assert _witness_holds(p, cert)
 
@@ -126,7 +162,7 @@ def test_growth_limits_sublinear_example():
 def test_growth_limits_linear():
     # f(u)/u is constant and far below delta_min, so no radius expands
     for f in ("u", "3*u"):
-        cert = certificate(make_problem(f, "t", 0.25))
+        cert = make_problem(f, "t", 0.25).certificate
         assert cert.classification == INDETERMINATE
         assert cert.r is None and cert.R is None
         assert cert.span == (1e-150, 1e150)
@@ -139,7 +175,7 @@ def test_growth_limits_linear():
 def test_certificate_power_laws(f, label):
     # u^1.1 expands only past R ~ 7.5e57, beyond any fixed ladder
     p = make_problem(f, "t", 0.25)
-    cert = certificate(p)
+    cert = p.certificate
     assert cert.classification == label
     assert (cert.r < cert.R) == (label == SUPERLINEAR)
     assert _witness_holds(p, cert)
@@ -149,12 +185,12 @@ def test_growth_limit_of_a_slowly_rising_ratio_stays_finite():
     # f(u)/u = 2 - 1/(1+u) and u/(1e7+u) rise along the whole grid, to 2 and
     # to 1, far below delta_min = 3.8e5: no expansion radius
     for f in ("2*u - u/(1+u)", "u^2/(1e7+u)"):
-        cert = certificate(make_problem(f, "t", 0.25))
+        cert = make_problem(f, "t", 0.25).certificate
         assert cert.classification == INDETERMINATE and cert.R is None
 
 
 def test_witness_radii_lie_on_the_log_grid():
-    cert = certificate(make_problem(F_SUPER, "t^2", 0.25))
+    cert = make_problem(F_SUPER, "t^2", 0.25).certificate
     for radius in (cert.r, cert.R):
         steps = GRID_DENSITY * np.log10(radius)
         assert steps == pytest.approx(round(steps), abs=1e-9)
@@ -162,13 +198,13 @@ def test_witness_radii_lie_on_the_log_grid():
 
 def test_certificate_cuts_the_grid_where_f_overflows():
     # exp(u) overflows past u = 709.8; the witness pair sits below that
-    cert = certificate(make_problem("exp(u)", "t", 0.25))
+    cert = make_problem("exp(u)", "t", 0.25).certificate
     assert cert.top == pytest.approx(10**2.75)
     assert cert.classification == SUBLINEAR
     assert cert.R == pytest.approx(2.37e-6, rel=1e-2) and cert.r == pytest.approx(0.75, rel=1e-3)
-    assert certificate(make_problem("u^2*exp(u)", "t", 0.25)).span == (1e-150, cert.top)
+    assert make_problem("u^2*exp(u)", "t", 0.25).certificate.span == (1e-150, cert.top)
     # not finite at the smallest sample: no range, no witness
-    none = certificate(make_problem("sqrt(u-0.01)", "t", 0.25))
+    none = make_problem("sqrt(u-0.01)", "t", 0.25).certificate
     assert none.top is None and none.span is None
 
 
@@ -182,13 +218,13 @@ def test_certificate_cuts_the_grid_where_f_overflows():
 ])
 def test_benchmark_family_corners_keep_their_label(f, label, k, alpha):
     p = make_problem(f, f"{alpha * (k + 1)}*t^{k}", 0.25)
-    cert = certificate(p)
+    cert = p.certificate
     assert cert.classification == label
     assert _witness_holds(p, cert)
 
 
 def test_certificate_superlinear_example():
-    cert = certificate(make_problem(F_SUPER, "t^2", 0.25))
+    cert = make_problem(F_SUPER, "t^2", 0.25).certificate
     assert cert.classification == SUPERLINEAR
     assert cert.epsilon_max == pytest.approx(4.0, abs=1e-13)
     # exact rational evaluation of the threshold expression
@@ -200,20 +236,20 @@ def test_certificate_superlinear_example():
 
 
 def test_certificate_sublinear_example():
-    cert = certificate(make_problem(F_SUB, "t", 0.25))
+    cert = make_problem(F_SUB, "t", 0.25).certificate
     assert cert.classification == SUBLINEAR
     assert cert.epsilon_max == pytest.approx(3.0, abs=1e-13)
 
 
 def test_certificate_linear_is_indeterminate():
-    cert = certificate(make_problem("u", "t", 0.25))
+    cert = make_problem("u", "t", 0.25).certificate
     assert cert.classification == INDETERMINATE
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.25, 0.4])
 def test_delta_threshold_identity(theta):
     p = make_problem(F_SUPER, "t^2", theta)
-    cert = certificate(p)
+    cert = p.certificate
     al, be = p.cone.alpha, p.cone.beta
     lhs = cert.delta_min * (theta**6 / 36.0) * ((1 - al + be) ** 2 / (1 - al)) \
         * (1 - 2 * theta) * (0.5 + theta - theta**2)
@@ -222,7 +258,7 @@ def test_delta_threshold_identity(theta):
 
 def test_epsilon_consistency():
     p = make_problem(F_SUPER, "t^2", 0.25)
-    cert = certificate(p)
+    cert = p.certificate
     assert cert.epsilon_max / (6.0 * (1.0 - p.cone.alpha)) <= 1.0 + 1e-15
 
 
@@ -234,7 +270,7 @@ def test_epsilon_consistency():
 ])
 def test_classification_scale_invariance(scale, f_text, expected):
     p = make_problem(f"{scale}*({f_text})", "t^2", 0.25)
-    cert = certificate(p)
+    cert = p.certificate
     assert cert.classification == expected
     assert _witness_holds(p, cert)
 
@@ -254,5 +290,5 @@ def test_classification_scale_invariance(scale, f_text, expected):
      3.1622776601683795, 5.623413251903491e-06, 1e150),
 ])
 def test_certificate_is_pinned(f, a, label, r, R, top):
-    cert = certificate(make_problem(f, a, 0.25))
+    cert = make_problem(f, a, 0.25).certificate
     assert (cert.classification, cert.r, cert.R, cert.top) == (label, r, R, top)

@@ -58,7 +58,7 @@ def census(family):
         report = solve_auto(make_problem(f, a))
         sup = report.solution.sup_norm()
         records.append({
-            "f": f, "a": a, "label": report.operator.certificate.classification,
+            "f": f, "a": a, "label": report.operator.problem.certificate.classification,
             "outcome": _outcome(report), "in_annulus": report.in_annulus,
             "estimate_over_sup": report.error_estimate / sup if sup > 0.0 else np.inf,
         })

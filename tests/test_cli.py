@@ -344,9 +344,34 @@ def test_f_is_checked_on_its_whole_sample(tmp_path, capsys, command, artifact, f
     assert payload["violations"] == [out.removeprefix("hypothesis violation: ").rstrip("\n")]
 
 
+@pytest.mark.parametrize("command, artifact", [("solve", "report.json"),
+                                               ("classify", "classify.json")])
+@pytest.mark.parametrize("theta", ["1e-54", "1e-60"])
+def test_theta_that_leaves_delta_min_undefined_exits_hypothesis(tmp_path, capsys, command,
+                                                                artifact, theta):
+    # gamma^2 underflows to 0, so delta_min and the certificate are undefined:
+    # one violation line and a record, not a traceback
+    code = main([command, "--f", "u^2", "--a", "t", "--theta", theta, "--out", str(tmp_path)])
+    assert code == EXIT_HYPOTHESIS
+    out = capsys.readouterr().out
+    assert out.startswith("hypothesis violation: gamma = ") and out.count("\n") == 1
+    payload = json.loads((tmp_path / artifact).read_text())
+    assert payload["hypotheses_ok"] is False
+    assert payload["violations"] == [out.removeprefix("hypothesis violation: ").rstrip("\n")]
+
+
+def test_theta_near_the_overflow_classifies_without_a_warning(tmp_path, capsys):
+    # delta_min = 3.6e301 is finite, and delta_min u overflows on the grid;
+    # the tests run with warnings as errors, so any warning fails this
+    code = main(["classify", "--f", "u^2", "--a", "t", "--theta", "1e-50", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == (
+        "classification: indeterminate (epsilon_max = 3, delta_min = 3.6e+301)\n")
+
+
 def test_classify_evaluates_f_once(tmp_path, monkeypatch):
-    # make_problem samples f once, on the linear and the log grid merged;
-    # validate_hypotheses and certificate both read that sample
+    # make_problem samples f once, on the linear and the log grid merged,
+    # and derives the violations and the certificate from that sample
     sizes, call = [], Expression.__call__
 
     def counted(self, x):
@@ -427,8 +452,8 @@ def test_classify_checks_hypotheses(tmp_path, capsys, f, a):
 @pytest.mark.parametrize("command, artifact", [("solve", "report.json"),
                                                ("classify", "classify.json")])
 def test_weight_not_finite_at_a_node_exits_hypothesis(tmp_path, capsys, command, artifact):
-    # make_problem integrates a at the rule's nodes before validate_hypotheses
-    # runs; an invalid value there is an a-domain violation, not a usage error
+    # make_problem integrates a at the rule's nodes before it checks a on its
+    # grid; an invalid value there is an a-domain violation, not a usage error
     code = main([command, "--f", "u^2", "--a", "sqrt(t-0.5)", "--out", str(tmp_path)])
     assert code == EXIT_HYPOTHESIS
     out = capsys.readouterr().out
@@ -692,7 +717,7 @@ def test_cold_solve_emits_no_runtime_warning(tmp_path, f, code):
 @pytest.mark.parametrize("command, compute", [
     (["solve", "--f", F_SUB, "--a", "t"], "solve_auto"),
     (["verify"], "run_checks"),
-    (["classify", "--f", F_SUPER, "--a", "t"], "certificate"),
+    (["classify", "--f", F_SUPER, "--a", "t"], "make_problem"),
 ], ids=["solve", "verify", "classify"])
 def test_out_that_cannot_be_a_directory_exits_usage(tmp_path, capsys, monkeypatch,
                                                      command, compute, under):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beambvp
-from beambvp.analysis import make_problem, validate_hypotheses
+from beambvp.analysis import make_problem
 from beambvp.errors import HypothesisViolation, InvalidConfig, OutOfDomain
 from beambvp.expressions import parse
 from beambvp.kernel import (
@@ -287,8 +287,7 @@ def test_beta_never_exceeds_alpha(theta):
 
 def test_cone_constants_gates():
     def codes(a_text):
-        report = validate_hypotheses(make_problem("u", a_text, 0.25))
-        return {v.code for v in report.violations}
+        return {v.code for v in make_problem("u", a_text, 0.25).violations}
 
     assert codes("2*t") == {"alpha-range"}
     assert codes("0*t") == {"alpha-range"}

@@ -519,6 +519,24 @@ def test_solve_auto_rejects_alpha_at_one():
         solve_auto(make_problem("u^2", "2*t"))
 
 
+def test_alpha_outside_its_window_keeps_its_message():
+    # nystrom_matrix checks alpha before build_operator reads the certificate
+    with pytest.raises(HypothesisViolation, match=r"^alpha = 0\.9999999999999999 outside"):
+        build_operator(make_problem("u^2", "2*t"))
+
+
+@pytest.mark.parametrize("a, theta", [("40*(t-0.5)^2-2.9", 0.25), ("t", 1e-54)])
+def test_a_problem_without_a_certificate_raises_hypothesis(a, theta):
+    # gamma = -0.0073 (no window width log(1/gamma)) and gamma = 1e-162
+    # (gamma^2 underflows to 0): the witness search is undefined, and both
+    # entry points say so instead of failing inside it
+    problem = make_problem("u^2", a, theta)
+    assert problem.certificate is None and problem.violations
+    for run in (build_operator, solve_auto):
+        with pytest.raises(HypothesisViolation, match="^no certificate: gamma = "):
+            run(problem)
+
+
 def test_solve_auto_estimates_only_the_returned_report(super_problem, monkeypatch):
     # the superlinear solve discards Picard's trivial fixed point before Newton
     estimated = []
@@ -700,7 +718,8 @@ def test_operator_assembly_runs_in_bounded_memory(traced_peak):
 
 def test_cone_scan_without_a_witness_runs_in_bounded_memory(traced_peak, monkeypatch):
     op = build_operator(make_problem("u^2/(1e7+u)", "t", 0.25, make_quadrature(128, 4)))
-    assert op.certificate.r is None and log_grid(*op.certificate.span).size == 2401
+    cert = op.problem.certificate
+    assert cert.r is None and log_grid(*cert.span).size == 2401
     starts = []
     # A(c v) for all 2401 radii at once peaked at 37.5 MiB
     assert traced_peak(lambda: starts.extend(solver._cone_starts(op))) <= 8.0
