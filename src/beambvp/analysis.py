@@ -68,6 +68,13 @@ class Problem:
     certificate: Optional[Certificate]
 
 
+def check_theta(theta: float) -> None:
+    """Raises InvalidConfig unless 0 < theta < 1/2. The one check of the
+    strip parameter, for the library and for config files alike."""
+    if not 0.0 < theta < 0.5:
+        raise InvalidConfig(f"theta must lie in (0, 1/2), got {theta}")
+
+
 def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -> Problem:
     """Assemble a Problem from expressions or expression text.
 
@@ -80,8 +87,7 @@ def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -
         f = parse(f, "u")
     if isinstance(a, str):
         a = parse(a, "t")
-    if not 0.0 < theta < 0.5:
-        raise InvalidConfig(f"theta must lie in (0, 1/2), got {theta}")
+    check_theta(theta)
     quad = quad if quad is not None else default_quadrature()
     try:
         alpha, beta = integrate(a, quad), integrate_on(a, theta, 1.0 - theta, quad)

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .analysis import check_theta
 from .errors import InvalidConfig
 from .quadrature import GAUSS_LEGENDRE, check_rule
 
@@ -40,8 +41,7 @@ class RunConfig:
     seed: int = 20240901
 
     def validate(self) -> "RunConfig":
-        if not 0.0 < self.theta < 0.5:
-            raise InvalidConfig(f"theta must lie in (0, 1/2), got {self.theta}")
+        check_theta(self.theta)
         if not 0.0 < self.tol < math.inf:
             raise InvalidConfig("tol must be positive and finite")
         if self.max_iter < 1:
@@ -98,9 +98,8 @@ def _parse(name, raw):
     except ValueError:
         raise InvalidConfig(f"number expected for {name}, got {raw!r}") from None
     if name in ("write_json", "write_csv"):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise InvalidConfig(f"boolean expected for {name}, got {raw!r}")
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+        except KeyError:
+            raise InvalidConfig(f"boolean expected for {name}, got {raw!r}") from None
     return raw

@@ -8,7 +8,9 @@ by its interpolant on each panel of the quadrature rule, G times that
 interpolant is integrated exactly, split at the kink s = t, and the
 equation is collocated at the rule's nodes (kernel.nystrom_matrix).
 Positive fixed points of that finite map are located by damped Picard
-iteration and by damped Newton, whose starts solve_auto reads off it.
+iteration and by damped Newton, whose starts solve_auto reads off it. Both
+run in one loop (_iterate), which owns the stopping rule, the overflow
+guard and the positivity verdict; each method supplies only its step.
 
 Each solve ends with one a-posteriori error estimate of the returned
 solution. The natural interpolant
@@ -31,7 +33,7 @@ from .quadrature import Quadrature, make_quadrature
 
 # an iterate past OVERFLOW_GUARD * max(1, top of the certificate's span) has diverged
 OVERFLOW_GUARD = 1e12
-# in units of the solution scale s (see _scale): a solution is nontrivial
+# in units of the solution scale s (see _iterate): a solution is nontrivial
 # above sup POSITIVITY_TOL s, and nonnegative down to -POSITIVITY_TOL max(s, sup)
 POSITIVITY_TOL = 1e-6
 CONE_SLACK = 1e-10
@@ -115,85 +117,95 @@ def constant_start(op: NystromOperator, c: float) -> DiscreteFunction:
 
 def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
            tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
-    """Damped successive substitution u <- (1-omega) u + omega Au.
-
-    Stops when the undamped update ||Au - u|| drops below
-    tol max(s, ||u||), s the solution scale of _scale (so a converged
-    report always satisfies that bound), or when the iterate breaches the
-    overflow guard, which sets the diverged flag instead of raising. The
-    reported residual is that of the returned iterate.
-    """
+    """Damped successive substitution u <- (1-omega) u + omega Au, in the
+    loop of _iterate."""
     if not 0.0 < omega <= 1.0:
         raise InvalidConfig("omega must lie in (0, 1]")
-    kmat, f = op.kmatrix, op.problem.f
-    guard, scale = _overflow_guard(op), _scale(op)
-    u = np.asarray(u0.values, dtype=float).copy()
-    converged = diverged = False
-    fp = np.inf
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        au = kmat @ f(u)
-        fp = float(np.max(np.abs(au - u)))
-        if _within_tol(fp, u, tol, scale):
-            converged = True
-            break
-        u = (1.0 - omega) * u + omega * au
-        if np.max(np.abs(u)) > guard:
-            diverged = True
-            break
-    if not converged:
-        fp = float(np.max(np.abs(kmat @ f(u) - u)))
-    sol = DiscreteFunction(op.quad.nodes.copy(), u)
-    return _finish_report(op, sol, converged, iterations, fp, "picard", diverged)
+
+    def step(u, au, fp, evaluate):
+        return evaluate((1.0 - omega) * u + omega * au)
+
+    return _iterate(op, u0, step, tol, max_iter, "picard")
 
 
 def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
            max_iter: int = 500) -> SolveReport:
-    """Damped Newton on F(u) = u - Au, until ||F(u)|| <= tol max(s, ||u||),
-    s the solution scale of _scale.
+    """Damped Newton on F(u) = u - Au, in the loop of _iterate.
 
     The Jacobian I - K diag(f'(u)) takes f' from f.derivative(); each step
-    is halved until ||F|| decreases. Raises SingularJacobian if the linear
-    solve fails, and DomainError where f' is not finite (sqrt(u) at 0).
+    is halved until ||F|| decreases, and a step that no halving makes
+    decrease ends the loop. Raises SingularJacobian if the linear solve
+    fails, and DomainError where f' is not finite (sqrt(u) at 0).
     """
-    kmat, f = op.kmatrix, op.problem.f
-    df = f.derivative()
-    guard, scale = _overflow_guard(op), _scale(op)
-    n = op.quad.npoints
-    u = np.asarray(u0.values, dtype=float).copy()
-    diverged = False
-    iterations = 0
-    residual = u - kmat @ f(u)
-    fp = float(np.max(np.abs(residual)))
-    while not _within_tol(fp, u, tol, scale) and iterations < max_iter:
-        iterations += 1
-        jac = np.eye(n) - kmat * df(u)[None, :]
+    kmat, df = op.kmatrix, op.problem.f.derivative()
+    eye = np.eye(op.quad.npoints)
+
+    def step(u, au, fp, evaluate):
         try:
-            step = np.linalg.solve(jac, -residual)
+            du = np.linalg.solve(eye - kmat * df(u)[None, :], au - u)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(f"Newton linear solve failed: {exc}") from exc
         lam = 1.0
         for _ in range(40):
             try:
-                u_try = u + lam * step
-                residual_try = u_try - kmat @ f(u_try)
+                u_try, au_try, fp_try = evaluate(u + lam * du)
             except DomainError:
-                lam *= 0.5
-                continue
-            fp_try = float(np.max(np.abs(residual_try)))
-            if fp_try < fp:
-                break
+                pass
+            else:
+                if fp_try < fp:
+                    return u_try, au_try, fp_try
             lam *= 0.5
-        else:
-            break  # no damping decreased ||F||
-        u, residual, fp = u_try, residual_try, fp_try
-        if np.max(np.abs(u)) > guard:
-            diverged = True
+        return None
+
+    return _iterate(op, u0, step, tol, max_iter, "newton")
+
+
+def _iterate(op, u0, step, tol, max_iter, method) -> SolveReport:
+    """The fixed-point loop that picard and newton share.
+
+    The loop holds the iterate u, from a copy of u0, with Au and
+    fp = sup|Au - u|. step(u, Au, fp, evaluate) returns the next iterate as
+    evaluate returns it, or None where it finds none; iterations counts the
+    calls to step.
+
+    The loop stops when fp <= tol max(s, sup|u|), after max_iter steps, at
+    None, or when sup|u| passes the overflow guard, which sets the diverged
+    flag instead of raising. s is the solution scale: the lower end of the
+    witness annulus, or 1 without a witness. So tol is absolute, in units
+    of s, up to sup|u| = s and relative above, and the floors of the
+    stopping rule and of positivity scale with f as the solution does.
+
+    The report's fp is that of its solution. The solution is positive when
+    the loop converged and it is nontrivial (sup >= POSITIVITY_TOL s),
+    nonnegative down to -POSITIVITY_TOL max(s, sup), and in the cone.
+    """
+    kmat, f = op.kmatrix, op.problem.f
+
+    def evaluate(u):
+        au = kmat @ f(u)
+        return u, au, float(np.max(np.abs(au - u)))
+
+    cert = op.problem.certificate
+    scale = cert.span[0] if cert.r is not None else 1.0
+    guard = OVERFLOW_GUARD * max(1.0, cert.span[1] if cert.span else 0.0)
+    u, au, fp = evaluate(np.asarray(u0.values, dtype=float).copy())
+    iterations = 0
+    while True:
+        sup = float(np.max(np.abs(u)))
+        diverged = sup > guard
+        converged = not diverged and fp <= tol * max(scale, sup)
+        if converged or diverged or iterations == max_iter:
             break
-    converged = not diverged and _within_tol(fp, u, tol, scale)
+        iterations += 1
+        nxt = step(u, au, fp, evaluate)
+        if nxt is None:
+            break
+        u, au, fp = nxt
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
-    return _finish_report(op, sol, converged, iterations, fp, "newton", diverged)
+    in_cone = cone_gap(sol, op.problem, sol) >= -CONE_SLACK
+    nonnegative = float(np.min(u)) >= -POSITIVITY_TOL * max(scale, sup)
+    positive = converged and sup >= POSITIVITY_TOL * scale and nonnegative and in_cone
+    return SolveReport(sol, op, converged, iterations, fp, in_cone, method, positive, diverged)
 
 
 def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
@@ -201,7 +213,7 @@ def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> Sol
 
     Runs damped Picard once from the constant PICARD_START, then Newton
     from each start that _cone_starts reads off the operator. Returns the
-    first positive report (positive implies converged, see _finish_report);
+    first positive report (positive implies converged, see _iterate);
     otherwise the first converged one, flagged not-positive, or the last
     attempt if none converged; only that report gets an error_estimate.
     No positive solution found, however the attempts end, is a report. An
@@ -270,39 +282,6 @@ def _cone_starts(op: NystromOperator) -> list:
     else:
         roots = x[[np.argmin(np.abs(logs))]]
     return [DiscreteFunction(op.quad.nodes.copy(), np.exp(root) * v) for root in roots]
-
-
-def _scale(op: NystromOperator) -> float:
-    """The solution scale s: the lower end of the witness annulus, or 1
-    without a witness. The absolute floors of the stopping rule and of
-    positivity are fractions of s, so they scale with f as the solution does."""
-    cert = op.problem.certificate
-    return cert.span[0] if cert.r is not None else 1.0
-
-
-def _within_tol(fp: float, u: np.ndarray, tol: float, scale: float) -> bool:
-    """tol is absolute, in units of the solution scale, up to sup|u| = scale
-    and relative above."""
-    return fp <= tol * max(scale, float(np.max(np.abs(u))))
-
-
-def _overflow_guard(op: NystromOperator) -> float:
-    span = op.problem.certificate.span
-    return OVERFLOW_GUARD * max(1.0, span[1] if span else 0.0)
-
-
-def _finish_report(op, sol, converged, iterations, fp, method, diverged):
-    """A solution is positive when the iteration converged without
-    diverging and the fixed point is nontrivial (sup >= POSITIVITY_TOL s),
-    nonnegative up to POSITIVITY_TOL max(s, sup), and in the cone; s is
-    the solution scale of _scale."""
-    sup, scale = sol.sup_norm(), _scale(op)
-    in_cone = cone_gap(sol, op.problem, sol) >= -CONE_SLACK
-    nonnegative = float(np.min(sol.values)) >= -POSITIVITY_TOL * max(scale, sup)
-    positive = (converged and not diverged and sup >= POSITIVITY_TOL * scale
-                and nonnegative and in_cone)
-    return SolveReport(sol, op, converged, iterations, fp, in_cone, method,
-                       positive, diverged)
 
 
 def cone_gap(v: DiscreteFunction, problem: Problem, u: DiscreteFunction) -> float:

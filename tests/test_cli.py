@@ -9,6 +9,7 @@ import pytest
 
 import beambvp
 from beambvp import cli, verify
+from beambvp.analysis import make_problem
 from beambvp.cli import (
     EXIT_CHECK_FAILED,
     EXIT_HYPOTHESIS,
@@ -155,6 +156,16 @@ def test_config_and_library_share_the_rule_check(panels, points):
     assert str(from_config.value) == str(from_library.value)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5, -0.1, 0.7, float("nan")])
+def test_config_and_library_share_the_theta_check(theta):
+    with pytest.raises(InvalidConfig) as from_config:
+        RunConfig(theta=theta).validate()
+    with pytest.raises(InvalidConfig) as from_library:
+        make_problem("u^2", "t", theta)
+    assert str(from_config.value) == str(from_library.value)
+    assert str(from_config.value) == f"theta must lie in (0, 1/2), got {theta}"
+
+
 @pytest.mark.parametrize("command", ["solve", "classify", "verify", "green"])
 @pytest.mark.parametrize("points", [3, 5, 10])
 def test_inadmissible_points_in_a_config_exit_usage(tmp_path, capsys, command, points):
@@ -202,6 +213,41 @@ def test_config_rejects_non_numbers(tmp_path, capsys, section, line):
     assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
     key, value = line.split(" = ")
     assert capsys.readouterr().err == f"error: number expected for {key}, got {value!r}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[bogus]\nkey = 1\n", "unknown config section [bogus]"),
+    ("[output]\nwrite_json = maybe\n", "boolean expected for write_json, got 'maybe'"),
+])
+def test_config_errors_exit_usage(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n{text}")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw, value", [
+    ("1", True), ("yes", True), ("true", True), ("On", True),
+    ("0", False), ("no", False), ("FALSE", False), ("off", False),
+])
+def test_config_reads_each_boolean_spelling(tmp_path, raw, value):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[output]\nwrite_csv = {raw}\n")
+    assert RunConfig.from_file(path).write_csv is value
+
+
+def test_unquoted_expressions_in_a_config_solve_as_quoted(tmp_path, capsys):
+    reports = []
+    for name, quote in (("bare", ""), ("quoted", '"')):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(f"[problem]\nf_text = {quote}u^2{quote}\na_text = {quote}t{quote}\n")
+        out = tmp_path / name
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        reports.append((out / "report.json").read_text())
+    assert capsys.readouterr().err == ""
+    assert reports[0] == reports[1] and json.loads(reports[0])["f"] == "u^2"
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -295,6 +341,20 @@ def test_solve_negative_fixed_point_is_not_positive(tmp_path, capsys):
 def test_solve_inadmissible_weight_exits_hypothesis(tmp_path):
     code = main(["solve", "--f", F_SUPER, "--a", "2*t", "--out", str(tmp_path)])
     assert code == EXIT_HYPOTHESIS
+
+
+def test_failed_newton_solve_exits_usage(tmp_path, capsys, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    # Picard ends on the trivial solution, so Newton runs and fails
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    out = tmp_path / "out"
+    assert main(["solve", "--f", F_SUPER, "--a", "t^2", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: Newton linear solve failed: Singular matrix\n"
+    assert captured.out == ""
+    assert not (out / "report.json").exists()
 
 
 def test_solve_parse_error_exits_usage(tmp_path, capsys):

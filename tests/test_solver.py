@@ -3,7 +3,13 @@ import pytest
 
 from beambvp import kernel, quadrature, solver
 from beambvp.analysis import log_grid, make_problem
-from beambvp.errors import DomainError, HypothesisViolation, InvalidConfig, OutOfDomain
+from beambvp.errors import (
+    DomainError,
+    HypothesisViolation,
+    InvalidConfig,
+    OutOfDomain,
+    SingularJacobian,
+)
 from beambvp.expressions import Expression, parse
 from beambvp.kernel import ROW_BLOCK, _nonlocal_sum, green, kernel_weight, product_weights
 from beambvp.kernel import green_sum as _green_sum
@@ -687,10 +693,11 @@ def test_newton_fails_where_the_derivative_is_not_finite():
         newton(op, u0)
 
 
+@pytest.mark.parametrize("run", [picard, newton])
 @pytest.mark.parametrize("f, c", [("0*u+2", 5.0), (F_SUB, 1.0)])
-def test_newton_evaluates_one_residual_per_iterate(f, c, monkeypatch):
-    # f: the start's residual, then one line-search trial per step (both runs
-    # take full steps); f': one Jacobian per step
+def test_each_method_evaluates_one_residual_per_iterate(f, c, monkeypatch, run):
+    # f: the start's residual, then one per step (Newton's runs take full
+    # steps, so one line-search trial each); f': one Jacobian per Newton step
     p = make_problem(f, "t", 0.25)
     op = build_operator(p)
     df = p.f.derivative()
@@ -702,9 +709,56 @@ def test_newton_evaluates_one_residual_per_iterate(f, c, monkeypatch):
         return real(self, x)
 
     monkeypatch.setattr(Expression, "__call__", counting)
-    report = newton(op, constant_start(op, c))
+    report = run(op, constant_start(op, c))
     assert report.converged and report.iterations >= 1
-    assert calls == {"f": 1 + report.iterations, "df": report.iterations}
+    jacobians = report.iterations if run is newton else 0
+    assert calls == {"f": 1 + report.iterations, "df": jacobians}
+
+
+@pytest.mark.parametrize("run", [picard, newton])
+def test_a_start_that_meets_tol_takes_no_step(sub_solution, run):
+    op, solved = sub_solution
+    report = run(op, solved.solution)
+    assert report.converged and report.positive and report.iterations == 0
+    assert report.fp_residual == solved.fp_residual
+    assert np.array_equal(report.solution.values, solved.solution.values)
+    assert report.solution.values is not solved.solution.values
+
+
+@pytest.mark.parametrize("run", [picard, newton])
+def test_iterations_count_steps_up_to_max_iter(sub_problem, run):
+    # an iterate that meets tol on the last allowed step is converged
+    op = build_operator(sub_problem)
+    u0 = constant_start(op, 1.0)
+    report = run(op, u0)
+    capped = run(op, u0, max_iter=report.iterations)
+    assert capped.converged and capped.iterations == report.iterations
+    assert np.array_equal(capped.solution.values, report.solution.values)
+    short = run(op, u0, max_iter=report.iterations - 1)
+    assert not short.converged and short.iterations == report.iterations - 1
+
+
+@pytest.mark.parametrize("run", [picard, newton])
+def test_an_iterate_past_the_guard_ends_the_run_diverged(super_problem, monkeypatch, run):
+    # from 150, Newton climbs to the solution at sup 289 and Picard grows
+    # without bound; a guard at 200 stops both on the way
+    op = build_operator(super_problem)
+    monkeypatch.setattr(solver, "OVERFLOW_GUARD", 200.0 / op.problem.certificate.span[1])
+    report = run(op, constant_start(op, 150.0))
+    assert report.diverged and not report.converged and not report.positive
+    assert report.iterations >= 1 and report.solution.sup_norm() > 200.0
+    u = report.solution.values
+    assert report.fp_residual == float(np.max(np.abs(op.kmatrix @ op.problem.f(u) - u)))
+
+
+def test_a_failed_linear_solve_raises_singular_jacobian(super_problem, monkeypatch):
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    op = build_operator(super_problem)
+    with pytest.raises(SingularJacobian, match=r"^Newton linear solve failed: Singular matrix$"):
+        newton(op, constant_start(op, 100.0))
 
 
 def test_operator_assembly_runs_in_bounded_memory(traced_peak):
