@@ -9,8 +9,8 @@ with the triangular Green's function G and the t-independent nonlocal
 weight W(s) = (1/(1-alpha)) integral_0^1 a(tau) G(tau, s) dtau,
 alpha = integral_0^1 a. This module evaluates G, its envelopes on [0, 1],
 and the product weights that integrate G exactly against each panel's
-interpolant, with their one sum (green_sum for a load, nystrom_matrix for
-unit loads). It is the one place the integral condition enters: it owns
+interpolant, with their one sum (green_sum for a load or a block of
+loads, nystrom_matrix for unit loads). It is the one place the integral condition enters: it owns
 the window that alpha must lie in and the nonlocal sum that gives both W
 and the constant the condition adds to a Green's integral.
 """
@@ -72,25 +72,28 @@ def green(t, s, out=None, work=None):
     Accepts scalars or broadcastable arrays; on the diagonal both branch
     formulas agree. Raises OutOfDomain off the unit square, or at a nan.
 
-    [t^3 (1-s)^2 - (t-s)^3] / 6 on s <= t and t^3 (1-s)^2 / 6 above it,
-    built in place in two arrays: the result and the cube (t-s)^3. The cube
-    goes through pow only where s <= t: above the diagonal its base is
-    negative, which costs pow some 40 times as much per point, and the
-    branch drops it anyway.
+    [t^3 (1-s)^2 - (t-s)_+^3] / 6, built in place in two arrays: the clamp
+    d = max(t - s, 0) in work, its cube d d d in out, then t t t (1-s)^2 in
+    work, and their difference over 6 in out. fl(t - s) > 0 exactly where
+    s < t, so the clamp is the branch on s < t bit for bit (on the diagonal
+    the cube is 0 either way), and both cubes are products formed alike, so
+    G(t, 0) = 0 exactly. There is no pow and no mask: two products cube as
+    accurately as pow, which is slow on small bases.
 
     out, a float array of the broadcast shape, receives G and is returned;
-    work, another, holds the cube and is overwritten. Either may be a view,
-    such as a row slice of a larger buffer, and without them both arrays
-    are fresh. G is the same bit for bit either way.
+    work, another, is overwritten. Either may be a view, such as a row
+    slice of a larger buffer, and without them both arrays are fresh. G is
+    the same bit for bit either way.
     """
     t, s = _unit(t, "green"), _unit(s, "green")
     shape = np.broadcast_shapes(t.shape, s.shape)
-    g = np.multiply(t**3, (1.0 - s) ** 2, out=np.empty(shape) if out is None else out)
-    cube = np.subtract(t, s, out=np.empty(shape) if work is None else work)
-    below = s <= t
-    np.power(cube, 3, out=cube, where=below)
-    # g - 0 is g, so above the diagonal g is left as it is
-    np.subtract(g, cube, out=g, where=below)
+    d = np.subtract(t, s, out=np.empty(shape) if work is None else work)
+    np.maximum(d, 0.0, out=d)
+    g = np.multiply(d, d, out=np.empty(shape) if out is None else out)
+    g *= d
+    r = 1.0 - s
+    np.multiply(t * t * t, r * r, out=d)
+    np.subtract(d, g, out=g)
     g /= 6.0
     return g if g.ndim else float(g)
 
@@ -198,18 +201,20 @@ def nystrom_matrix(a: Expression, q: Quadrature) -> np.ndarray:
 
 def green_sum(a: Expression, q: Quadrature, g, ts) -> np.ndarray:
     """sum_j [integral G(t, s) l_j(s) ds + W_j] g_j at ts on the rule q, W
-    that of the weight a: nystrom_matrix's weights, in O((N + T) p).
+    that of the weight a: nystrom_matrix's weights, in O((N + T) p) per load.
 
+    g is one load on the rule's nodes, or an N x C block of loads, one per
+    column; the result has shape ts.shape, or ts.shape + (C,) for a block.
     The Green's part is _green_part's; since G(0, s) = 0 the nonlocal part is
-    one constant, the nonlocal sum of the Green's part at the rule's nodes.
-    Raises OutOfDomain for ts off [0, 1] or nan.
+    one constant per load, the nonlocal sum of the Green's part at the
+    rule's nodes. Raises OutOfDomain for ts off [0, 1] or nan.
     """
     ts = _unit(np.asarray(ts, dtype=float), "green_sum")
     # the Green's part at the evaluation points, then at the nodes
     t = np.concatenate([ts.ravel(), q.nodes])
     green_part = _green_part(q, t, product_weights(q, t), g)
     const = _nonlocal_sum(a, q, green_part[ts.size:])
-    return np.reshape(green_part[:ts.size] + const, ts.shape)
+    return np.reshape(green_part[:ts.size] + const, ts.shape + np.shape(const))
 
 
 def _green_part(q: Quadrature, t: np.ndarray, weights, g) -> np.ndarray:

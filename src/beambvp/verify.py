@@ -5,24 +5,26 @@ on (kernel sign and envelopes, representation-vs-finite-difference
 agreement, cone inequalities) and reports its worst margin. The
 representation u = integral [G + W] y is kernel.green_sum, the sum
 behind the solver's operator, interpolate and residuals, taken on random
-cubic loads. The finite-difference oracle solves the same problems without
-the kernel, and each cubic load's closed-form solution checks the sum to
-rounding. The kernel checks call this module's `green` (all but the
-nonlocal weight W, which comes from `kernel_weight`), so a test that
-replaces it with a corrupted kernel confirms that the corruption is
-caught. They sweep one grid, GRID_M x GRID_M, in one loop over blocks of
-ROW_BLOCK rows, and allocate two block arrays once per sweep. Every block
-is evaluated into them (green's out and work, then the margins), so no
-block faults fresh pages in, and the sweep reads G from what green
-returns, which a replaced kernel need not put in out. The sweep's memory
-is set by the block, not by the grid: what it keeps is per-column minima
-and maxima. Bounds that depend on s alone (G >= 0, the upper envelope,
-the strip floors and the kernel bound on G + W) are checked on the
-per-column minima and maxima of G over the rows, and each bound is
-subtracted once per column after the sweep: fl(x - c) and fl(x + c) are
-monotone in x, so every margin is the one the whole grid would give.
+cubic loads, one block of loads per weight and one call per block. The
+finite-difference oracle solves the same problems without the kernel, and
+each cubic load's closed-form solution checks the sum to rounding. The
+kernel checks call this module's `green` (all but the nonlocal weight W,
+which comes from `kernel_weight`), so a test that replaces it with a
+corrupted kernel confirms that the corruption is caught. They sweep one
+grid, GRID_M x GRID_M, in one loop over blocks of ROW_BLOCK rows, and
+allocate two block arrays once per sweep. Every block is evaluated into
+them (green's out and work, then the margins), so no block faults fresh
+pages in, and the sweep reads G from what green returns, which a replaced
+kernel need not put in out. The sweep's memory is set by the block, not
+by the grid: what it keeps is per-column minima and maxima. Bounds that
+depend on s alone (G >= 0, the upper envelope, the strip floors and the
+kernel bound on G + W) are checked on the per-column minima and maxima
+of G over the rows, and each bound is subtracted once per column after
+the sweep: fl(x - c) and fl(x + c) are monotone in x, so every margin is
+the one the whole grid would give.
 The lower-envelope and triangle margins depend on t too and are taken
-per point, in the lower bound's buffer, before their columns' minima.
+per point, in the lower bound's buffer, before their columns' minima; the
+triangle s <= t only on the columns a block's rows reach.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ def _kernel_checks(thetas, rng, q):
         results.append(_floor(f"green_strip_floor_theta_{theta}", margin, -1e-14))
     results.append(_floor("green_triangle_floor", float(np.min(triangle_col)), -1e-14))
 
-    # s = t takes the s <= t branch; the next double above t takes the other
+    # G is continuous on the diagonal: s = t against the next double above t
     t_rand = rng.uniform(0.0, 1.0, 100)
     jump = green(t_rand, t_rand) - green(t_rand, np.nextafter(t_rand, 1.0))
     results.append(_ceiling("green_branch_match", float(np.max(np.abs(jump))), 1e-15))
@@ -118,7 +120,7 @@ def _sweep(grid, thetas):
     ss = grid[None, :]
     lo = np.full((3 + len(thetas), GRID_M), np.inf)
     hi = np.full(GRID_M, -np.inf)
-    # every block is evaluated into these two: G's, and the cube's and then
+    # every block is evaluated into these two: G's, and green's work and then
     # the margins'. Fresh block arrays would go back to the OS when freed
     # and fault their pages in again in the next block
     g_buf, m_buf = np.empty((2, ROW_BLOCK, GRID_M))
@@ -138,12 +140,17 @@ def _sweep(grid, thetas):
         # G minus the bound, then the triangle's
         margin = lower_envelope(ts, ss, out=m_block)
         np.minimum(lo[-2], np.subtract(g, margin, out=margin).min(axis=0), out=lo[-2])
-        np.subtract(ts, ss, out=margin)
-        np.square(margin, out=margin)
-        np.multiply(margin, ss, out=margin)
-        np.divide(margin, 6.0, out=margin)
-        np.subtract(g, margin, out=margin)
-        np.minimum(lo[-1], np.min(margin, axis=0, where=ss <= ts, initial=np.inf), out=lo[-1])
+        # the triangle s <= t holds only the columns up to the block's last
+        # row, grid[:start + h]; they are taken in a contiguous h x n view
+        h, n = len(ts), start + len(ts)
+        tri, s_tri = m_buf.reshape(-1)[:h * n].reshape(h, n), ss[:, :n]
+        np.subtract(ts, s_tri, out=tri)
+        np.square(tri, out=tri)
+        np.multiply(tri, s_tri, out=tri)
+        np.divide(tri, 6.0, out=tri)
+        np.subtract(g[:, :n], tri, out=tri)
+        np.minimum(lo[-1, :n], np.min(tri, axis=0, where=s_tri <= ts, initial=np.inf),
+                   out=lo[-1, :n])
     return lo, hi
 
 
@@ -153,14 +160,16 @@ def _path_checks(rng, q):
     h = 1.0 / (n - 1)
     for power, a_text in ((1, "t"), (2, "t^2")):
         a = parse(a_text, "t")
-        for c in rng.uniform(0.0, 2.0, (5, 4)):
-            y = _cubic(c)
-            fd = fd_solve_linear(y, a, n)
-            u = green_sum(a, q, y(q.nodes), fd.nodes)
-            err = float(np.max(np.abs(fd.values - u)))
-            worst = max(worst, err / h**2)
-            exact = _cubic_solution(c, power, fd.nodes)
-            worst_exact = max(worst_exact, float(np.max(np.abs(u - exact)) / np.max(np.abs(exact))))
+        cs = rng.uniform(0.0, 2.0, (5, 4))
+        # one load per column, and one Green's sum for the weight's loads
+        fds = [fd_solve_linear(_cubic(c), a, n) for c in cs]
+        nodes = fds[0].nodes
+        u = green_sum(a, q, _cubic(cs.T)(q.nodes[:, None]), nodes)
+        fd = np.column_stack([sol.values for sol in fds])
+        worst = max(worst, float(np.max(np.abs(fd - u))) / h**2)
+        exact = np.column_stack([_cubic_solution(c, power, nodes) for c in cs])
+        worst_exact = max(worst_exact, float(np.max(np.max(np.abs(u - exact), axis=0)
+                                                    / np.max(np.abs(exact), axis=0))))
     return [_ceiling("linear_path_agreement", worst, PATH_EQUIVALENCE_C),
             _ceiling("green_sum_exact_on_cubics", worst_exact, CUBIC_EXACT_TOL)]
 
@@ -171,10 +180,10 @@ def _cone_checks(theta, rng, q):
     worst_solution = np.inf
     for a_text in ("t", "t^2"):
         linear = make_problem("0*u", a_text, theta, q)
-        for c in rng.uniform(0.0, 2.0, (10, 4)):
-            u = green_sum(linear.a, q, _cubic(c)(q.nodes), eval_nodes)
-            gap = float(np.min(u[strip]) - linear.cone.gamma * np.max(np.abs(u)))
-            worst_solution = min(worst_solution, gap)
+        cs = rng.uniform(0.0, 2.0, (10, 4))
+        u = green_sum(linear.a, q, _cubic(cs.T)(q.nodes[:, None]), eval_nodes)
+        gaps = np.min(u[strip], axis=0) - linear.cone.gamma * np.max(np.abs(u), axis=0)
+        worst_solution = min(worst_solution, float(np.min(gaps)))
     results = [_floor("solution_cone_floor", worst_solution, -1e-10)]
 
     problem = make_problem("u^2*(exp(-u)+1)", "t^2", theta, q)
@@ -188,7 +197,8 @@ def _cone_checks(theta, rng, q):
 
 
 def _cubic(c):
-    """The load c0 + c1 s + c2 s^2 + c3 s^3."""
+    """The load c0 + c1 s + c2 s^2 + c3 s^3; with a row of coefficients per
+    power and s a column, one load per column."""
     return lambda s: c[0] + c[1] * s + c[2] * s**2 + c[3] * s**3
 
 

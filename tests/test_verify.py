@@ -27,6 +27,20 @@ def test_branch_match_passes_on_the_kernel():
     assert _check(scorecard, "green_branch_match")["passed"]
 
 
+def test_each_weights_loads_are_summed_in_one_call(monkeypatch):
+    # the path checks' 5 loads and the cone check's 10 per weight, each a block
+    blocks = []
+
+    def counted(a, q, g, ts):
+        blocks.append(np.shape(g))
+        return kernel.green_sum(a, q, g, ts)
+
+    monkeypatch.setattr(verify, "green_sum", counted)
+    assert verify.run_checks()["all_passed"]
+    n = default_quadrature().npoints
+    assert blocks == [(n, 5), (n, 5), (n, 10), (n, 10)]
+
+
 def test_branch_match_catches_a_jump_on_the_diagonal(monkeypatch):
     def jumping(t, s, **buffers):
         return green(t, s, **buffers) + np.where(np.asarray(s) > np.asarray(t), 1e-9, 0.0)
