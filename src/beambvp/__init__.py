@@ -45,7 +45,6 @@ from .solver import (
     DiscreteFunction,
     NystromOperator,
     SolveReport,
-    apply,
     build_operator,
     interpolate,
     newton,
@@ -62,7 +61,7 @@ __all__ = [
     "DomainError", "Expression", "HypothesisViolation", "InvalidConfig",
     "InvalidRange", "NystromOperator", "OutOfDomain", "Overflow", "ParseError",
     "Problem", "Quadrature", "RunConfig", "SingularJacobian", "SingularSystem",
-    "SolveReport", "apply", "build_operator", "default_quadrature",
+    "SolveReport", "build_operator", "default_quadrature",
     "fd_solve_linear", "fd_solve_nonlinear", "green", "integrate",
     "integrate_on", "interpolate", "kernel_weight", "lower_envelope",
     "make_problem", "make_quadrature", "newton", "parse", "picard", "residuals",

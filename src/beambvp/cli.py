@@ -23,7 +23,7 @@ from .errors import BeamBVPError, HypothesisViolation, InvalidConfig
 from .expressions import parse
 from .kernel import ROW_BLOCK, green, kernel_weight, lower_envelope, upper_envelope
 from .quadrature import GAUSS_LEGENDRE, make_quadrature
-from .solver import apply, solve_auto
+from .solver import solve_auto
 from .verify import GRID_M, run_checks
 
 EXIT_OK = 0
@@ -152,18 +152,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     if cfg.write_json:
         _write_json(out / "report.json", payload)
     if cfg.write_csv:
-        au = apply(report.operator, report.solution)
-        rows = np.column_stack([
-            report.solution.nodes, report.solution.values, au.values,
-            np.abs(report.solution.values - au.values),
-        ])
+        u = report.solution
+        rows = np.column_stack([u.nodes, u.values, report.au, np.abs(u.values - report.au)])
         _write_csv(out / "solution.csv", "t,u,Au,fp_residual", [rows])
-    ok = report.positive
-    status = "positive solution" if ok else ("trivial solution only" if report.converged
-                                             else "no convergence")
+    status = ("positive solution" if report.positive else "no convergence" if not report.converged
+              else "not positive" if report.nontrivial else "trivial solution only")
     print(f"{status}: sup|u| = {report.solution.sup_norm():.6g}, "
           f"fp_residual = {report.fp_residual:.3g}, iterations = {report.iterations}")
-    return EXIT_OK if ok else EXIT_TRIVIAL
+    return EXIT_OK if report.positive else EXIT_TRIVIAL
 
 
 def cmd_classify(cfg: RunConfig) -> int:

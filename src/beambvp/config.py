@@ -14,6 +14,7 @@ from pathlib import Path
 from .analysis import check_theta
 from .errors import InvalidConfig
 from .quadrature import GAUSS_LEGENDRE, check_rule
+from .solver import MAX_ITER, SOLVE_TOL
 
 # [quadrature] rule may name the one rule the package has, in these spellings
 _RULE_NAMES = ("gauss", "gauss-legendre", GAUSS_LEGENDRE)
@@ -33,8 +34,8 @@ class RunConfig:
     theta: float = 0.25
     panels: int = 8
     points: int = 4
-    tol: float = 1e-10
-    max_iter: int = 500
+    tol: float = SOLVE_TOL
+    max_iter: int = MAX_ITER
     out_dir: str = "."
     write_json: bool = True
     write_csv: bool = True

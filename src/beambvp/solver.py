@@ -9,8 +9,8 @@ interpolant is integrated exactly, split at the kink s = t, and the
 equation is collocated at the rule's nodes (kernel.nystrom_matrix).
 Positive fixed points of that finite map are located by damped Picard
 iteration and by damped Newton, whose starts solve_auto reads off it. Both
-run in one loop (_iterate), which owns the stopping rule, the overflow
-guard and the positivity verdict; each method supplies only its step.
+run in one loop (_iterate), which decides how every attempt ends and
+writes its SolveReport; each method supplies only its step.
 
 Each solve ends with one a-posteriori error estimate of the returned
 solution. The natural interpolant
@@ -22,6 +22,7 @@ to the true solution in solution units. Both sums are kernel.green_sum.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ CONE_SLACK = 1e-10
 # Picard's start and damping: where it stops within tol sets a solution's last digits
 PICARD_START = 0.1
 PICARD_OMEGA = 0.8
+# the stopping tolerance (see _iterate) and the cap on steps per attempt
+SOLVE_TOL = 1e-10
+MAX_ITER = 500
 
 
 @dataclass
@@ -71,26 +75,28 @@ class NystromOperator:
 
 @dataclass
 class SolveReport:
-    """One solver attempt. operator is the discrete operator the solution
-    is a fixed point of. error_estimate is nan until solve_auto estimates
+    """One attempt as _iterate ends it; au is A u at the solution's nodes, nan
+    where f is not finite. error_estimate is nan until solve_auto estimates
     the report it returns (see residuals); inf if that estimate fails."""
 
     solution: DiscreteFunction
-    operator: NystromOperator
+    au: np.ndarray
+    problem: Problem
     converged: bool
     iterations: int
     fp_residual: float
     in_cone: bool
     method: str
     positive: bool
-    diverged: bool = False
+    nontrivial: bool
+    diverged: bool
     error_estimate: float = np.nan
 
     @property
     def in_annulus(self) -> bool:
         """The solution's sup norm lies between the certificate's witness
         radii, where the existence proof puts a fixed point."""
-        cert = self.operator.problem.certificate
+        cert = self.problem.certificate
         return cert.r is not None and cert.span[0] <= self.solution.sup_norm() <= cert.span[1]
 
 
@@ -104,21 +110,14 @@ def build_operator(problem: Problem) -> NystromOperator:
     return NystromOperator(q, kmatrix, problem)
 
 
-def apply(op: NystromOperator, u: DiscreteFunction) -> DiscreteFunction:
-    """One application of the discrete integral operator."""
-    if not np.array_equal(u.nodes, op.quad.nodes):
-        raise InvalidConfig("grid function does not live on the operator's nodes")
-    return DiscreteFunction(op.quad.nodes.copy(), op.kmatrix @ op.problem.f(u.values))
-
-
 def constant_start(op: NystromOperator, c: float) -> DiscreteFunction:
     return DiscreteFunction(op.quad.nodes.copy(), np.full(op.quad.npoints, float(c)))
 
 
-def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
-           tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
+def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = PICARD_OMEGA,
+           tol: float = SOLVE_TOL, max_iter: int = MAX_ITER) -> SolveReport:
     """Damped successive substitution u <- (1-omega) u + omega Au, in the
-    loop of _iterate."""
+    loop of _iterate. Raises InvalidConfig for omega outside (0, 1]."""
     if not 0.0 < omega <= 1.0:
         raise InvalidConfig("omega must lie in (0, 1]")
 
@@ -128,14 +127,14 @@ def picard(op: NystromOperator, u0: DiscreteFunction, omega: float = 1.0,
     return _iterate(op, u0, step, tol, max_iter, "picard")
 
 
-def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
-           max_iter: int = 500) -> SolveReport:
+def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = SOLVE_TOL,
+           max_iter: int = MAX_ITER) -> SolveReport:
     """Damped Newton on F(u) = u - Au, in the loop of _iterate.
 
-    The Jacobian I - K diag(f'(u)) takes f' from f.derivative(); each step
-    is halved until ||F|| decreases, and a step that no halving makes
-    decrease ends the loop. Raises SingularJacobian if the linear solve
-    fails, and DomainError where f' is not finite (sqrt(u) at 0).
+    The Jacobian I - K diag(f'(u)) takes f' from f.derivative(). Each step
+    is halved until ||F|| decreases, and while it leaves f's domain; a step
+    that no halving makes decrease ends the loop. Raises SingularJacobian
+    if the linear solve fails.
     """
     kmat, df = op.kmatrix, op.problem.f.derivative()
     eye = np.eye(op.quad.npoints)
@@ -147,13 +146,10 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
             raise SingularJacobian(f"Newton linear solve failed: {exc}") from exc
         lam = 1.0
         for _ in range(40):
-            try:
-                u_try, au_try, fp_try = evaluate(u + lam * du)
-            except DomainError:
-                pass
-            else:
-                if fp_try < fp:
-                    return u_try, au_try, fp_try
+            with suppress(DomainError):
+                trial = evaluate(u + lam * du)
+                if trial[2] < fp:
+                    return trial
             lam *= 0.5
         return None
 
@@ -161,7 +157,7 @@ def newton(op: NystromOperator, u0: DiscreteFunction, tol: float = 1e-10,
 
 
 def _iterate(op, u0, step, tol, max_iter, method) -> SolveReport:
-    """The fixed-point loop that picard and newton share.
+    """The fixed-point loop of picard and newton; it writes every SolveReport.
 
     The loop holds the iterate u, from a copy of u0, with Au and
     fp = sup|Au - u|. step(u, Au, fp, evaluate) returns the next iterate as
@@ -174,6 +170,10 @@ def _iterate(op, u0, step, tol, max_iter, method) -> SolveReport:
     witness annulus, or 1 without a witness. So tol is absolute, in units
     of s, up to sup|u| = s and relative above, and the floors of the
     stopping rule and of positivity scale with f as the solution does.
+
+    A DomainError from f or f' also ends the loop, diverged (existence says
+    nothing about iterability), at the last iterate f was finite on; at a
+    start where it is not, with fp inf, Au nan and in_cone false.
 
     The report's fp is that of its solution. The solution is positive when
     the loop converged and it is nontrivial (sup >= POSITIVITY_TOL s),
@@ -188,27 +188,34 @@ def _iterate(op, u0, step, tol, max_iter, method) -> SolveReport:
     cert = op.problem.certificate
     scale = cert.span[0] if cert.r is not None else 1.0
     guard = OVERFLOW_GUARD * max(1.0, cert.span[1] if cert.span else 0.0)
-    u, au, fp = evaluate(np.asarray(u0.values, dtype=float).copy())
-    iterations = 0
-    while True:
-        sup = float(np.max(np.abs(u)))
-        diverged = sup > guard
-        converged = not diverged and fp <= tol * max(scale, sup)
-        if converged or diverged or iterations == max_iter:
-            break
-        iterations += 1
-        nxt = step(u, au, fp, evaluate)
-        if nxt is None:
-            break
-        u, au, fp = nxt
+    u = np.asarray(u0.values, dtype=float).copy()
+    au, fp = np.full_like(u, np.nan), np.inf
+    iterations, converged = 0, False
+    try:
+        nxt = evaluate(u)
+        while nxt is not None:
+            u, au, fp = nxt
+            sup = float(np.max(np.abs(u)))
+            diverged = sup > guard
+            converged = not diverged and fp <= tol * max(scale, sup)
+            if converged or diverged or iterations == max_iter:
+                break
+            iterations += 1
+            nxt = step(u, au, fp, evaluate)
+    except DomainError:
+        diverged = True
+    sup = float(np.max(np.abs(u)))
     sol = DiscreteFunction(op.quad.nodes.copy(), u)
-    in_cone = cone_gap(sol, op.problem, sol) >= -CONE_SLACK
+    # a start f is not finite on is not in the cone: cone_gap could sample f there again
+    in_cone = fp < np.inf and cone_gap(sol, op.problem, sol) >= -CONE_SLACK
+    nontrivial = sup >= POSITIVITY_TOL * scale
     nonnegative = float(np.min(u)) >= -POSITIVITY_TOL * max(scale, sup)
-    positive = converged and sup >= POSITIVITY_TOL * scale and nonnegative and in_cone
-    return SolveReport(sol, op, converged, iterations, fp, in_cone, method, positive, diverged)
+    positive = converged and nontrivial and nonnegative and in_cone
+    return SolveReport(sol, au, op.problem, converged, iterations, fp, in_cone, method,
+                       positive, nontrivial, diverged)
 
 
-def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> SolveReport:
+def solve_auto(problem: Problem, tol: float = SOLVE_TOL, max_iter: int = MAX_ITER) -> SolveReport:
     """Search for a nontrivial positive fixed point.
 
     Runs damped Picard once from the constant PICARD_START, then Newton
@@ -223,17 +230,9 @@ def solve_auto(problem: Problem, tol: float = 1e-10, max_iter: int = 500) -> Sol
     """
     op = build_operator(problem)
 
-    def attempt(run, u0, **kwargs):
-        # a start that drives f out of its domain is a failed attempt,
-        # not an exception; existence says nothing about iterability
-        try:
-            return run(op, u0, tol=tol, max_iter=max_iter, **kwargs)
-        except DomainError:
-            return SolveReport(u0, op, False, 0, np.inf, False, run.__name__, False, True)
-
     def attempts():
-        yield attempt(picard, constant_start(op, PICARD_START), omega=PICARD_OMEGA)
-        yield from (attempt(newton, u0) for u0 in _cone_starts(op))
+        yield picard(op, constant_start(op, PICARD_START), tol=tol, max_iter=max_iter)
+        yield from (newton(op, u0, tol=tol, max_iter=max_iter) for u0 in _cone_starts(op))
 
     tried = []
     for report in attempts():
@@ -308,12 +307,10 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
 
     u_I is the natural interpolant, sigma are the nodes of the problem's
     rule with twice the panels, and A' is the operator discretized on
-    that refined rule. The result is in solution units. Raises
-    DomainError if f is not finite on the interpolant.
+    that refined rule. The result is in solution units. Raises InvalidConfig
+    as interpolate does, and DomainError if f is not finite on the interpolant.
     """
     q = problem.quad
-    if not np.array_equal(u.nodes, q.nodes):
-        raise InvalidConfig("grid function does not live on the problem's nodes")
     fine = make_quadrature(2 * q.panels, q.points_per_panel)
     u_fine = interpolate(u, problem, fine.nodes)
     return float(np.max(np.abs(green_sum(problem.a, fine, problem.f(u_fine), fine.nodes) - u_fine)))
@@ -321,5 +318,8 @@ def residuals(u: DiscreteFunction, problem: Problem) -> float:
 
 def interpolate(u: DiscreteFunction, problem: Problem, ts) -> np.ndarray:
     """Natural interpolation u(t) = sum_j [integral G(t, s) l_j(s) ds + W_j] f(u_j)
-    (kernel.green_sum). Raises OutOfDomain for t outside [0, 1] or nan."""
+    (kernel.green_sum), A u at the rule's nodes. Raises OutOfDomain for t
+    outside [0, 1] or nan, and InvalidConfig for u off the rule's nodes."""
+    if not np.array_equal(u.nodes, problem.quad.nodes):
+        raise InvalidConfig("grid function does not live on the problem's nodes")
     return green_sum(problem.a, problem.quad, problem.f(u.values), ts)

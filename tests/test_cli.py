@@ -23,6 +23,7 @@ from beambvp.errors import InvalidConfig
 from beambvp.expressions import Expression
 from beambvp.kernel import green
 from beambvp.quadrature import make_quadrature
+from beambvp.solver import build_operator
 
 F_SUPER = "u^2*(exp(-u)+1)"
 F_SUB = "sqrt(1+u)+sin(u)"
@@ -336,6 +337,26 @@ def test_solve_negative_fixed_point_is_not_positive(tmp_path, capsys):
     assert code == EXIT_TRIVIAL
     assert "positive solution" not in capsys.readouterr().out
     assert json.loads((tmp_path / "report.json").read_text())["positive"] is False
+
+
+def test_solve_nontrivial_negative_fixed_point_says_not_positive(tmp_path, capsys):
+    # Newton converges to u in [-2.80, -0.905]: converged and nontrivial,
+    # so neither "trivial solution only" nor "positive solution"
+    code = main(["solve", "--f", "1e3*(1+u)^3", "--a", "t", "--out", str(tmp_path)])
+    assert code == EXIT_TRIVIAL
+    assert capsys.readouterr().out.startswith("not positive: sup|u| = 2.79766, ")
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["converged"] and not report["positive"] and not report["in_cone"]
+
+
+def test_solution_csv_au_is_the_operator_on_the_solution(tmp_path):
+    # the loop's Au, bit for bit the dense product K f(u) at the written u
+    assert main(["solve", "--f", F_SUPER, "--a", "t^2", "--out", str(tmp_path)]) == EXIT_OK
+    table = np.loadtxt(tmp_path / "solution.csv", delimiter=",", skiprows=1)
+    problem = make_problem(F_SUPER, "t^2", 0.25)
+    u, au = table[:, 1], table[:, 2]
+    assert np.array_equal(au, build_operator(problem).kmatrix @ problem.f(u))
+    assert np.array_equal(table[:, 3], np.abs(u - au))
 
 
 def test_solve_inadmissible_weight_exits_hypothesis(tmp_path):

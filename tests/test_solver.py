@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,6 @@ from beambvp.oracle import fd_solve_nonlinear
 from beambvp.quadrature import ADMISSIBLE_POINTS, Quadrature, _composite_gauss, make_quadrature
 from beambvp.solver import (
     DiscreteFunction,
-    apply,
     build_operator,
     cone_gap,
     constant_start,
@@ -63,11 +65,16 @@ def test_operator_matrix_shape_and_sign(super_problem):
     assert column_peaks[-1] <= 1e-3 * np.max(op.kmatrix)
 
 
+def apply(op, u):
+    """A u at the nodes: the operator's matrix times f(u)."""
+    return op.kmatrix @ op.problem.f(u.values)
+
+
 def test_apply_zero_nonlinearity():
     p = make_problem("0*u", "t", 0.25)
     op = build_operator(p)
     u = constant_start(op, 3.0)
-    assert np.max(np.abs(apply(op, u).values)) == 0.0
+    assert np.max(np.abs(apply(op, u))) == 0.0
 
 
 @pytest.mark.parametrize("panels, points", [(1, 2), (8, 4), (3, 6)])
@@ -78,7 +85,7 @@ def test_apply_constant_forcing_closed_form(panels, points):
     p = make_problem("0*u+1", "0*t", 0.25, q)
     op = build_operator(p)
     au = apply(op, constant_start(op, 0.0))
-    assert np.max(np.abs(au.values - uniform_load_deflection(q.nodes))) <= 1e-16
+    assert np.max(np.abs(au - uniform_load_deflection(q.nodes))) <= 1e-16
 
 
 def test_apply_preserves_nonnegativity_and_monotonicity():
@@ -90,16 +97,20 @@ def test_apply_preserves_nonnegativity_and_monotonicity():
     for _ in range(10):
         u = DiscreteFunction(op_small.quad.nodes.copy(),
                              rng.uniform(0.0, 5.0, op_small.quad.npoints))
-        v_small = apply(op_small, u).values
-        v_big = apply(op_big, u).values
+        v_small = apply(op_small, u)
+        v_big = apply(op_big, u)
         assert np.all(v_small >= 0.0)
         assert np.all(v_small <= v_big + 1e-15)
 
 
-def test_apply_rejects_foreign_grid(super_problem):
-    op = build_operator(super_problem)
-    with pytest.raises(InvalidConfig):
-        apply(op, DiscreteFunction(np.linspace(0, 1, 5), np.zeros(5)))
+@pytest.mark.parametrize("n", [5, 32, 40])
+def test_interpolate_and_residuals_reject_foreign_grid(super_problem, n):
+    # 32 points on the wrong nodes gave a wrong value, 40 a broadcast error
+    u = DiscreteFunction(np.linspace(0, 1, n), np.ones(n))
+    for run in (lambda: interpolate(u, super_problem, [0.5]),
+                lambda: residuals(u, super_problem)):
+        with pytest.raises(InvalidConfig, match="^grid function does not live on"):
+            run()
 
 
 def test_picard_zero_map_converges_fast():
@@ -143,7 +154,7 @@ def test_newton_converges_in_one_step_for_constant_f():
     report = newton(op, constant_start(op, 5.0), tol=1e-10)
     assert report.converged
     assert report.iterations == 1
-    expected = apply(op, constant_start(op, 5.0)).values
+    expected = apply(op, constant_start(op, 5.0))
     assert np.allclose(report.solution.values, expected, atol=1e-14)
 
 
@@ -201,7 +212,8 @@ def test_operator_cone_preservation(super_problem):
     for _ in range(50):
         u = DiscreteFunction(op.quad.nodes.copy(),
                              rng.uniform(0.0, 5.0, op.quad.npoints))
-        assert cone_gap(apply(op, u), super_problem, u) >= -1e-10
+        au = DiscreteFunction(u.nodes, apply(op, u))
+        assert cone_gap(au, super_problem, u) >= -1e-10
 
 
 def test_solve_auto_survives_overflowing_starts():
@@ -683,14 +695,63 @@ def test_solve_auto_is_scale_free_sublinear(k):
     assert report.solution.sup_norm() == pytest.approx(uniform, rel=1e-6)
 
 
+def _assert_ended_in_the_domain(report, u, method, iterations):
+    """A report of an attempt that left f's domain after the iterate u."""
+    assert report.method == method and report.iterations == iterations
+    assert report.diverged and not report.converged and not report.positive
+    assert np.array_equal(report.solution.values, u)
+    au = build_operator(report.problem).kmatrix @ report.problem.f(u)
+    assert np.array_equal(report.au, au)
+    assert report.fp_residual == float(np.max(np.abs(au - u)))
+
+
 def test_newton_fails_where_the_derivative_is_not_finite():
-    # sqrt(u) has f' = 1/(2 sqrt(u)), not finite at 0: that start fails the
-    # way a start that drives f out of its domain does
+    # sqrt(u) has f' = 1/(2 sqrt(u)), not finite at 0: the first Jacobian
+    # ends the attempt at its start, the way leaving f's domain does
     op = build_operator(make_problem("sqrt(u)", "t", 0.25))
     u0 = constant_start(op, 1.0)
     u0.values[0] = 0.0
-    with pytest.raises(DomainError):
-        newton(op, u0)
+    report = newton(op, u0)
+    _assert_ended_in_the_domain(report, u0.values, "newton", 1)
+    assert report.in_cone == (cone_gap(report.solution, op.problem, report.solution) >= -1e-10)
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.495])
+def test_a_start_outside_the_domain_ends_the_attempt_there(theta):
+    # sqrt(u - 0.01) is not finite at 0.001: the report holds the start with
+    # no Au, and at theta = 0.495, whose strip holds no node, the cone test
+    # does not sample f on the start's interpolant
+    op = build_operator(make_problem("sqrt(u-0.01)", "t", theta))
+    u0 = constant_start(op, 0.001)
+    report = picard(op, u0)
+    assert report.method == "picard" and report.iterations == 0
+    assert report.diverged and not report.converged and not report.positive
+    assert np.array_equal(report.solution.values, u0.values)
+    assert report.fp_residual == np.inf and np.all(np.isnan(report.au))
+    assert report.in_cone is False
+
+
+def test_a_picard_step_outside_the_domain_ends_the_attempt():
+    # from 0.1, the first damped step stays above 0.01 and the second does not
+    op = build_operator(make_problem("sqrt(u-0.01)", "t", 0.25))
+    u0 = constant_start(op, 0.1).values
+    u1 = (1.0 - 0.8) * u0 + 0.8 * (op.kmatrix @ op.problem.f(u0))
+    report = picard(op, constant_start(op, 0.1), omega=0.8)
+    _assert_ended_in_the_domain(report, u1, "picard", 2)
+    assert report.in_cone
+
+
+def test_only_iterate_writes_a_solve_report():
+    # every SolveReport( in the package, with the functions around it
+    calls = []
+    for path in sorted(Path(solver.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "SolveReport" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append((path.name, [f.name for f in functions if node in ast.walk(f)]))
+    assert calls == [("solver.py", ["_iterate"])]
 
 
 @pytest.mark.parametrize("run", [picard, newton])

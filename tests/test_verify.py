@@ -28,7 +28,8 @@ def test_branch_match_passes_on_the_kernel():
 
 
 def test_each_weights_loads_are_summed_in_one_call(monkeypatch):
-    # the path checks' 5 loads and the cone check's 10 per weight, each a block
+    # the path checks' 5 loads and the cone check's 10 per weight, each a
+    # block, then A u for the operator check's 20 grid functions
     blocks = []
 
     def counted(a, q, g, ts):
@@ -38,7 +39,7 @@ def test_each_weights_loads_are_summed_in_one_call(monkeypatch):
     monkeypatch.setattr(verify, "green_sum", counted)
     assert verify.run_checks()["all_passed"]
     n = default_quadrature().npoints
-    assert blocks == [(n, 5), (n, 5), (n, 10), (n, 10)]
+    assert blocks == [(n, 5), (n, 5), (n, 10), (n, 10), (n, 20)]
 
 
 def test_branch_match_catches_a_jump_on_the_diagonal(monkeypatch):
