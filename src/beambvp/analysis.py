@@ -27,6 +27,8 @@ GRID_DENSITY = 8
 GRID_LO, GRID_HI = 1e-150, 1e150
 # f's one sample adds F_SAMPLES points of [0, F_SAMPLE_MAX] to it (_f_grid)
 F_SAMPLE_MAX, F_SAMPLES = 1e3, 10_000
+# the strip parameter of make_problem, run_checks and RunConfig by default
+THETA = 0.25
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def check_theta(theta: float) -> None:
         raise InvalidConfig(f"theta must lie in (0, 1/2), got {theta}")
 
 
-def make_problem(f, a, theta: float = 0.25, quad: Optional[Quadrature] = None) -> Problem:
+def make_problem(f, a, theta: float = THETA, quad: Optional[Quadrature] = None) -> Problem:
     """Assemble a Problem from expressions or expression text.
 
     The cone constants (not held to alpha's window, nan where a is not

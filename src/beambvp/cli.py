@@ -60,9 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "facts the method rests on.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    solve_cmd = sub.add_parser("solve", parents=[common], help="find a positive solution")
-    solve_cmd.add_argument("--json", action="store_true", help="write only the JSON artifact")
-    solve_cmd.add_argument("--csv", action="store_true", help="write only the CSV artifact")
+    sub.add_parser("solve", parents=[common], help="find a positive solution")
     sub.add_parser("verify", parents=[common], help="run the invariant checks")
     sub.add_parser("classify", parents=[common], help="growth classification and thresholds")
     green_cmd = sub.add_parser("green", parents=[common], help="tabulate the kernel to CSV")
@@ -97,23 +95,22 @@ def entry() -> None:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    cfg = cfg.override(f_text=args.f, a_text=args.a, theta=args.theta,
-                       seed=args.seed, out_dir=args.out)
-    # only solve takes --json and --csv
-    if getattr(args, "json", False) or getattr(args, "csv", False):
-        cfg = cfg.override(write_json=args.json, write_csv=args.csv)
-    return cfg.validate()
+    return cfg.override(f_text=args.f, a_text=args.a, theta=args.theta,
+                        seed=args.seed, out_dir=args.out).validate()
 
 
 def _outdir(cfg) -> Path:
+    """The output directory, made; every command calls this first, so that a
+    bad --out fails before anything is computed."""
     path = Path(cfg.out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _problem(cfg, artifact):
+def _problem(cfg, artifact: Path):
     """The run's problem. When it violates the hypotheses, each violation is
-    printed and recorded in the JSON artifact, and HypothesisViolation raised."""
+    printed and recorded in the JSON artifact at that path, and
+    HypothesisViolation raised."""
     if not (cfg.f_text and cfg.a_text):
         raise InvalidConfig("f(u) and a(t) expressions are required (--f, --a or config)")
     quad = make_quadrature(cfg.panels, cfg.points)
@@ -122,16 +119,15 @@ def _problem(cfg, artifact):
         return problem
     payload = {**_base_payload(cfg, problem), "hypotheses_ok": False,
                "violations": [v.message for v in problem.violations]}
-    if cfg.write_json:
-        _write_json(_outdir(cfg) / artifact, payload)
+    _write_json(artifact, payload)
     for violation in problem.violations:
         print(f"hypothesis violation: {violation.message}")
     raise HypothesisViolation("f or a violates the hypotheses of the existence theorem")
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    problem = _problem(cfg, "report.json")
     out = _outdir(cfg)
+    problem = _problem(cfg, out / "report.json")
     report = solve_auto(problem, tol=cfg.tol, max_iter=cfg.max_iter)
     payload = _base_payload(cfg, problem)
     payload.update({
@@ -149,12 +145,10 @@ def cmd_solve(cfg: RunConfig) -> int:
         "R": problem.certificate.R,
         "in_annulus": report.in_annulus,
     })
-    if cfg.write_json:
-        _write_json(out / "report.json", payload)
-    if cfg.write_csv:
-        u = report.solution
-        rows = np.column_stack([u.nodes, u.values, report.au, np.abs(u.values - report.au)])
-        _write_csv(out / "solution.csv", "t,u,Au,fp_residual", [rows])
+    _write_json(out / "report.json", payload)
+    u = report.solution
+    rows = np.column_stack([u.nodes, u.values, report.au, np.abs(u.values - report.au)])
+    _write_csv(out / "solution.csv", "t,u,Au,fp_residual", [rows])
     status = ("positive solution" if report.positive else "no convergence" if not report.converged
               else "not positive" if report.nontrivial else "trivial solution only")
     print(f"{status}: sup|u| = {report.solution.sup_norm():.6g}, "
@@ -163,9 +157,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    # the directory first, so that a bad --out fails before f is sampled
-    out = _outdir(cfg) if cfg.write_json else None
-    problem = _problem(cfg, "classify.json")
+    out = _outdir(cfg)
+    problem = _problem(cfg, out / "classify.json")
     cert = problem.certificate
     payload = _base_payload(cfg, problem)
     payload.update({
@@ -175,19 +168,16 @@ def cmd_classify(cfg: RunConfig) -> int:
         "epsilon_max": cert.epsilon_max,
         "delta_min": cert.delta_min,
     })
-    if cfg.write_json:
-        _write_json(out / "classify.json", payload)
+    _write_json(out / "classify.json", payload)
     print(f"classification: {cert.classification} "
           f"(epsilon_max = {cert.epsilon_max:.6g}, delta_min = {cert.delta_min:.6g})")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    # the directory first, so that a bad --out fails before the checks run
-    out = _outdir(cfg) if cfg.write_json else None
+    out = _outdir(cfg)
     scorecard = run_checks(seed=cfg.seed, theta=cfg.theta)
-    if cfg.write_json:
-        _write_json(out / "verify.json", scorecard)
+    _write_json(out / "verify.json", scorecard)
     print(f"seed {cfg.seed}, grid {GRID_M}x{GRID_M}")
     for check in scorecard["checks"]:
         flag = "pass" if check["passed"] else "FAIL"
@@ -197,6 +187,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_green(cfg: RunConfig, grid_m: int) -> int:
+    out = _outdir(cfg)
     if grid_m < 2:
         raise InvalidConfig(f"--grid-m must be at least 2, got {grid_m}")
     ss = np.linspace(0.0, 1.0, grid_m)
@@ -218,7 +209,7 @@ def cmd_green(cfg: RunConfig, grid_m: int) -> int:
                 np.tile(upper_envelope(ss), ts.size),
             ])
 
-    _write_csv(_outdir(cfg) / "green.csv",
+    _write_csv(out / "green.csv",
                "t,s,G,kernel,lower_envelope,upper_envelope", blocks())
     print(f"wrote {grid_m * grid_m} kernel samples")
     return EXIT_OK

@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .analysis import check_theta
+from .analysis import THETA, check_theta
 from .errors import InvalidConfig
-from .quadrature import GAUSS_LEGENDRE, check_rule
+from .quadrature import GAUSS_LEGENDRE, PANELS, POINTS, check_rule
 from .solver import MAX_ITER, SOLVE_TOL
+from .verify import SEED
 
 # [quadrature] rule may name the one rule the package has, in these spellings
 _RULE_NAMES = ("gauss", "gauss-legendre", GAUSS_LEGENDRE)
@@ -23,7 +24,7 @@ _SECTIONS = {
     "problem": ("f_text", "a_text", "theta"),
     "quadrature": ("rule", "panels", "points"),
     "solver": ("tol", "max_iter"),
-    "output": ("out_dir", "write_json", "write_csv", "seed"),
+    "output": ("out_dir", "seed"),
 }
 
 
@@ -31,15 +32,13 @@ _SECTIONS = {
 class RunConfig:
     f_text: str = ""
     a_text: str = ""
-    theta: float = 0.25
-    panels: int = 8
-    points: int = 4
+    theta: float = THETA
+    panels: int = PANELS
+    points: int = POINTS
     tol: float = SOLVE_TOL
     max_iter: int = MAX_ITER
     out_dir: str = "."
-    write_json: bool = True
-    write_csv: bool = True
-    seed: int = 20240901
+    seed: int = SEED
 
     def validate(self) -> "RunConfig":
         check_theta(self.theta)
@@ -98,9 +97,4 @@ def _parse(name, raw):
             return int(raw)
     except ValueError:
         raise InvalidConfig(f"number expected for {name}, got {raw!r}") from None
-    if name in ("write_json", "write_csv"):
-        try:
-            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        except KeyError:
-            raise InvalidConfig(f"boolean expected for {name}, got {raw!r}") from None
     return raw

@@ -11,8 +11,8 @@ text and parsed into immutable syntax trees. The grammar:
     FUNC   := "exp" | "sin" | "cos" | "sqrt" | "log" | "abs"
 
 "^" is right associative and binds tighter than unary minus, so
--2^2 == -(2^2). There is no implicit multiplication, and every constant
-must be finite.
+-2^2 == -(2^2). There is no implicit multiplication, every constant
+must be finite, and nesting stops at MAX_DEPTH levels.
 
 Each expression is compiled once, when it is built, into a closure of
 numpy ufuncs. Evaluation works on scalars and numpy arrays alike and
@@ -50,6 +50,14 @@ _BINARY = {
     "/": np.divide,
     "^": np.power,
 }
+
+# parse refuses a syntax tree deeper than MAX_DEPTH levels, and more than
+# MAX_DEPTH open parentheses, calls, minus signs and powers. The parser takes
+# up to 5 frames per open level, compiling and evaluating one per tree level,
+# and derivative() makes a tree up to about three times as deep (u^u^...^u,
+# u/(u/(...))), so the deepest expression admitted and its derivative stay
+# well inside Python's default recursion limit of 1000.
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -168,10 +176,13 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent; each rule returns its node and the node's depth."""
+
     def __init__(self, tokens, var_name):
         self.tokens = tokens
         self.var_name = var_name
         self.i = 0
+        self.open = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -188,41 +199,57 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ParseError(f"stray token {tok.text!r}", tok.pos)
         return node
 
+    def deeper(self, tok, *depths):
+        """One level above the deepest of depths, refused past MAX_DEPTH."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply", tok.pos)
+        return depth
+
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.term()
+            node, depth = BinOp(tok.text, node, right), self.deeper(tok, depth, right_depth)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right, right_depth = self.unary()
+            node, depth = BinOp(tok.text, node, right), self.deeper(tok, depth, right_depth)
+        return node, depth
 
     def unary(self):
+        # every open parenthesis, call, minus sign and power passes here
         tok = self.peek()
+        self.open = self.deeper(tok, self.open)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            operand, depth = self.unary()
+            node, depth = Neg(operand), self.deeper(tok, depth)
+        else:
+            node, depth = self.power()
+        self.open -= 1
+        return node, depth
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             # right associative; exponent may carry its own unary minus
-            return BinOp("^", base, self.unary())
-        return base
+            exponent, exponent_depth = self.unary()
+            return BinOp("^", base, exponent), self.deeper(tok, depth, exponent_depth)
+        return base, depth
 
     def atom(self):
         tok = self.advance()
@@ -230,24 +257,24 @@ class _Parser:
             value = float(tok.text)
             if not math.isfinite(value):
                 raise ParseError(f"constant {tok.text!r} is not finite", tok.pos)
-            return Num(value)
+            return Num(value), 1
         if tok.kind == "name":
             if tok.text in FUNCTIONS:
                 self.expect_op("(")
-                inner = self.expr()
+                inner, depth = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, inner)
+                return Call(tok.text, inner), self.deeper(tok, depth)
             if self.peek().kind == "op" and self.peek().text == "(":
                 raise ParseError(f"unknown function {tok.text!r}", tok.pos)
             if tok.text != self.var_name:
                 raise ParseError(
                     f"unknown variable {tok.text!r}; expected {self.var_name!r}", tok.pos
                 )
-            return Var(tok.text)
+            return Var(tok.text), 1
         if tok.kind == "op" and tok.text == "(":
-            inner = self.expr()
+            inner, depth = self.expr()
             self.expect_op(")")
-            return inner
+            return inner, depth
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.pos)
 
 
@@ -255,8 +282,8 @@ def parse(text: str, var_name: str = "u") -> Expression:
     """Parse expression text closed over ``var_name``.
 
     Raises ParseError (with character offset) on malformed input, unknown
-    functions, a variable other than ``var_name``, or a constant that is
-    not finite (1e999).
+    functions, a variable other than ``var_name``, a constant that is
+    not finite (1e999), or nesting past MAX_DEPTH.
     """
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)

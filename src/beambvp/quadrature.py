@@ -24,6 +24,9 @@ GAUSS_LEGENDRE = "composite-gauss-legendre"
 # points it has negative entries
 ADMISSIBLE_POINTS = (2, 4, 6)
 
+# the rule of default_quadrature and RunConfig by default
+PANELS, POINTS = 8, 4
+
 
 @dataclass(frozen=True)
 class Quadrature:
@@ -65,8 +68,8 @@ def make_quadrature(panels: int, points_per_panel: int) -> Quadrature:
 
 
 def default_quadrature() -> Quadrature:
-    """The package default: 8 panels x 4 points."""
-    return make_quadrature(8, 4)
+    """The package default: PANELS panels x POINTS points."""
+    return make_quadrature(PANELS, POINTS)
 
 
 # Gauss-Legendre nodes and weights on [-1, 1] at each admissible point count:

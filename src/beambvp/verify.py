@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import make_problem
+from .analysis import THETA, make_problem
 from .expressions import parse
 from .kernel import ROW_BLOCK, green, green_sum, kernel_weight, lower_envelope, upper_envelope
 from .oracle import fd_solve_linear
@@ -57,8 +57,11 @@ GRID_M = 1001
 # 4.5e-8
 CUBIC_EXACT_TOL = 1e-11
 
+# the seed of run_checks and RunConfig by default
+SEED = 20240901
 
-def run_checks(seed: int = 20240901, theta: float = 0.25) -> dict:
+
+def run_checks(seed: int = SEED, theta: float = THETA) -> dict:
     """Run every suite; returns a scorecard dict ready for JSON.
 
     The strip and cone checks run at the standard thetas plus the one

@@ -20,7 +20,7 @@ from beambvp.cli import (
 )
 from beambvp.config import RunConfig
 from beambvp.errors import InvalidConfig
-from beambvp.expressions import Expression
+from beambvp.expressions import MAX_DEPTH, Expression
 from beambvp.kernel import green
 from beambvp.quadrature import make_quadrature
 from beambvp.solver import build_operator
@@ -56,13 +56,21 @@ max_iter = 321
 
 [output]
 out_dir = somewhere
-write_json = false
-write_csv = true
 seed = 99
 """)
     assert RunConfig.from_file(path) == RunConfig(
         f_text=F_SUPER, a_text="t^2", theta=0.3, panels=5, points=5, tol=1e-8, max_iter=321,
-        out_dir="somewhere", write_json=False, write_csv=True, seed=99)
+        out_dir="somewhere", seed=99)
+
+
+def test_readme_config_example_is_valid(tmp_path):
+    # a key the package no longer reads cannot stay in the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example = readme.read_text().split("```ini\n")[1].split("```")[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    cfg = RunConfig.from_file(path).validate()
+    assert (cfg.f_text, cfg.a_text, cfg.out_dir) == ("u^2*(exp(-u)+1)", "t^2", "results")
 
 
 # the text of the benchmark's N = 512 config; rule names the one rule there is
@@ -104,14 +112,15 @@ def test_config_rejects_other_quadrature_rules(tmp_path, capsys, rule):
     ["verify", "--green-offset", "-0.01"],
     ["verify", "--grid-m", "301"],
     ["certificate", "--f", F_SUB, "--a", "t"],
-    # classify, verify and green write one artifact each, so only solve
-    # takes --json and --csv
+    # every command writes all its artifacts: no flag picks among them
+    ["solve", "--f", F_SUB, "--a", "t", "--json"],
+    ["solve", "--f", F_SUB, "--a", "t", "--csv"],
     ["classify", "--f", F_SUB, "--a", "t", "--csv"],
     ["verify", "--csv"],
     ["green", "--a", "t", "--json"],
 ], ids=["no-command", "unknown-command", "bad-float", "unknown-flag",
         "verify-green-offset", "verify-grid-m", "certificate",
-        "classify-csv", "verify-csv", "green-json"])
+        "solve-json", "solve-csv", "classify-csv", "verify-csv", "green-json"])
 def test_usage_errors_exit_usage(tmp_path, capsys, argv):
     # argparse's own exit code 2 would read as "no positive solution"
     with pytest.raises(SystemExit) as exc:
@@ -218,7 +227,6 @@ def test_config_rejects_non_numbers(tmp_path, capsys, section, line):
 
 @pytest.mark.parametrize("text, message", [
     ("[bogus]\nkey = 1\n", "unknown config section [bogus]"),
-    ("[output]\nwrite_json = maybe\n", "boolean expected for write_json, got 'maybe'"),
 ])
 def test_config_errors_exit_usage(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -227,16 +235,6 @@ def test_config_errors_exit_usage(tmp_path, capsys, text, message):
     assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize("raw, value", [
-    ("1", True), ("yes", True), ("true", True), ("On", True),
-    ("0", False), ("no", False), ("FALSE", False), ("off", False),
-])
-def test_config_reads_each_boolean_spelling(tmp_path, raw, value):
-    path = tmp_path / "run.ini"
-    path.write_text(f"[output]\nwrite_csv = {raw}\n")
-    assert RunConfig.from_file(path).write_csv is value
 
 
 def test_unquoted_expressions_in_a_config_solve_as_quoted(tmp_path, capsys):
@@ -274,14 +272,20 @@ def test_config_parse_errors_exit_usage(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("line", ["method = newton", "omega = 0.9", "starts = 1.0, 10.0"])
-def test_config_rejects_retired_solver_keys(tmp_path, capsys, line):
-    # solve_auto derives its starts from the operator; nothing is left to set
+@pytest.mark.parametrize("section, line", [
+    ("solver", "method = newton"), ("solver", "omega = 0.9"), ("solver", "starts = 1.0, 10.0"),
+    ("output", "write_json = false"), ("output", "write_csv = true"),
+])
+def test_config_rejects_retired_solver_keys(tmp_path, capsys, section, line):
+    # solve_auto derives its starts from the operator, and every command
+    # writes all its artifacts; nothing is left to set
     path = tmp_path / "old.ini"
-    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[solver]\n{line}\n")
-    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    path.write_text(f"[problem]\nf_text = \"{F_SUB}\"\na_text = \"t\"\n[{section}]\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
     key = line.split(" = ")[0]
-    assert capsys.readouterr().err == f"error: unknown key {key!r} in [solver]\n"
+    assert capsys.readouterr().err == f"error: unknown key {key!r} in [{section}]\n"
+    assert not out.exists()
 
 
 def test_solve_superlinear_exits_zero(tmp_path):
@@ -382,6 +386,21 @@ def test_solve_parse_error_exits_usage(tmp_path, capsys):
     code = main(["solve", "--f", "u++", "--a", "t", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_deep_expression_exits_usage(tmp_path, capsys):
+    # it ended in a RecursionError traceback from the compiler
+    f = "+".join(["u"] * 3000)
+    assert main(["solve", "--f", f, "--a", "t", "--out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: expression nested too deeply (at position 199)\n"
+
+
+def test_expression_at_the_depth_cap_solves(tmp_path):
+    # u^MAX_DEPTH as a chain of products: Newton evaluates its derivative,
+    # a tree about twice as deep, from inside main
+    f = "*".join(["u"] * MAX_DEPTH)
+    assert main(["solve", "--f", f, "--a", "t", "--out", str(tmp_path)]) == EXIT_OK
+    assert json.loads((tmp_path / "report.json").read_text())["method"] == "newton"
 
 
 def test_constant_that_is_not_finite_exits_usage(tmp_path, capsys):
@@ -731,35 +750,16 @@ def test_flag_overrides_config(tmp_path):
     assert code == EXIT_OK
 
 
-def test_json_only_artifacts(tmp_path):
-    code = main(["solve", "--f", F_SUB, "--a", "t", "--out", str(tmp_path), "--json"])
-    assert code == EXIT_OK
-    assert (tmp_path / "report.json").exists()
-    assert not (tmp_path / "solution.csv").exists()
-
-
-def test_csv_only_and_json_only_artifacts_match_a_full_solve(tmp_path):
-    args = ["solve", "--f", F_SUB, "--a", "t"]
-    for name, flags in (("full", []), ("json", ["--json"]), ("csv", ["--csv"]),
-                        ("both", ["--json", "--csv"])):
-        assert main([*args, "--out", str(tmp_path / name), *flags]) == EXIT_OK
-    assert sorted(p.name for p in (tmp_path / "json").iterdir()) == ["report.json"]
-    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == ["solution.csv"]
-    for name, artifact in (("json", "report.json"), ("csv", "solution.csv"),
-                           ("both", "report.json"), ("both", "solution.csv")):
-        assert (tmp_path / name / artifact).read_bytes() == \
-            (tmp_path / "full" / artifact).read_bytes()
-
-
 def test_main_calls_share_one_parser_and_stay_independent(tmp_path):
     # one process, many main calls (as a long-lived caller makes them): the
     # parser is built once, and no flag of one call reaches the next
     assert cli.build_parser() is cli.build_parser()
     args = ["solve", "--f", F_SUB, "--a", "t"]
-    assert main([*args, "--out", str(tmp_path / "json"), "--json"]) == EXIT_OK
+    assert main([*args, "--out", str(tmp_path / "first"), "--theta", "0.3"]) == EXIT_OK
     assert main([*args, "--out", str(tmp_path / "plain")]) == EXIT_OK
     assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == \
         ["report.json", "solution.csv"]
+    assert json.loads((tmp_path / "plain" / "report.json").read_text())["theta"] == 0.25
     assert main(["solve", "--a", "t", "--out", str(tmp_path / "no-f")]) == EXIT_USAGE
     assert main(["green", "--grid-m", "3", "--out", str(tmp_path / "small")]) == EXIT_OK
     assert main(["green", "--out", str(tmp_path / "default")]) == EXIT_OK
@@ -796,10 +796,11 @@ def test_cold_solve_emits_no_runtime_warning(tmp_path, f, code):
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
 @pytest.mark.parametrize("command, compute", [
-    (["solve", "--f", F_SUB, "--a", "t"], "solve_auto"),
+    (["solve", "--f", F_SUB, "--a", "t"], "make_problem"),
     (["verify"], "run_checks"),
     (["classify", "--f", F_SUPER, "--a", "t"], "make_problem"),
-], ids=["solve", "verify", "classify"])
+    (["green", "--a", "t", "--grid-m", "3"], "kernel_weight"),
+], ids=["solve", "verify", "classify", "green"])
 def test_out_that_cannot_be_a_directory_exits_usage(tmp_path, capsys, monkeypatch,
                                                      command, compute, under):
     # the directory is made before the command computes anything, and the

@@ -6,7 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beambvp.errors import DomainError, Overflow, ParseError
-from beambvp.expressions import FUNCTIONS, BinOp, Call, Expression, Neg, Num, Var, parse
+from beambvp.expressions import (
+    FUNCTIONS,
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    Expression,
+    Neg,
+    Num,
+    Var,
+    parse,
+)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -71,11 +81,35 @@ def test_constant_expression_broadcasts():
     ("2 3", 2),         # stray token (no implicit multiplication)
     ("", 0),
     ("u+1e999", 2),     # a constant that is not finite
+    # nested too deeply: each overflowed the parser or the compiler
+    ("+".join(["u"] * 3000), 199),
+    ("(" * 400 + "u" + ")" * 400, 100),
+    ("sin(" * 250 + "u" + ")" * 250, 400),
+    ("-" * 2000 + "u", 100),
+    ("u^" * 600 + "1", 200),
 ])
 def test_parse_errors_carry_position(text, pos):
     with pytest.raises(ParseError) as err:
         parse(text, "u")
     assert err.value.position == pos
+
+
+# k levels deep, as a tree or as open parentheses, calls, minus signs and powers
+@pytest.mark.parametrize("deep", [
+    lambda k: "+".join(["u"] * k),
+    lambda k: "/".join(["u"] * k),
+    lambda k: "(" * (k - 1) + "u" + ")" * (k - 1),
+    lambda k: "sin(" * (k - 1) + "u" + ")" * (k - 1),
+    lambda k: "-" * (k - 1) + "u",
+    lambda k: "u^" * (k - 1) + "1",
+    lambda k: "u/(" * (k - 1) + "2" + ")" * (k - 1),
+], ids=["sum", "quotients", "parentheses", "calls", "minus", "powers", "nested-quotients"])
+def test_expressions_at_the_depth_cap_differentiate_and_evaluate(deep):
+    # the derivative of the last two is about three times as deep as they are
+    e = parse(deep(MAX_DEPTH), "u")
+    assert np.isfinite(e(1.0)) and np.isfinite(e.derivative()(np.ones(3))).all()
+    with pytest.raises(ParseError, match="^expression nested too deeply"):
+        parse(deep(MAX_DEPTH + 1), "u")
 
 
 def test_unknown_character_rejected():
